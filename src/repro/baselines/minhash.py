@@ -20,6 +20,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
+from .replay import replay_steps
 
 EMPTY = np.int64(-1)
 _MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -35,8 +36,24 @@ class MinHashKernel:
         self.hashes = np.full(k, _MAXH, dtype=np.uint64)
 
     def update(self, item: int, action: int) -> None:
+        h = hashing.minhash_values(item, self.k, self.seed) if action > 0 else None
+        self._step(item, action, h)
+
+    def replay(self, items, actions, cuts) -> list[np.ndarray]:
+        """One user's edges in order; the snapshot after the first c edges
+        for each c in ``cuts``. Equals an ``update`` loop, but the hashes
+        of all inserted items come from one ``minhash_matrix`` call."""
+        items = np.asarray(items, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        inserted = actions > 0
+        h = np.zeros((items.size, self.k), dtype=np.uint64)  # rows of deletes unused
+        h[inserted] = hashing.minhash_matrix(items[inserted], self.k, self.seed)
+        steps = zip(items.tolist(), actions.tolist(), h)
+        return replay_steps(self._step, self.snapshot, steps, cuts)
+
+    def _step(self, item: int, action: int, h: np.ndarray | None) -> None:
+        """The paper's cases 1–3 for one edge; ``h`` = h_1..h_k(item) on insert."""
         if action > 0:
-            h = hashing.minhash_values(item, self.k, self.seed)
             take = (self.items == EMPTY) | (h < self.hashes)
             self.items[take] = item
             self.hashes[take] = h[take]

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
+from .replay import replay_steps
 
 EMPTY = np.int64(-1)
 _MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -33,6 +34,21 @@ class OPHKernel:
     def update(self, item: int, action: int) -> None:
         h = hashing.oph_values([item], self.seed)[0]
         b = int(hashing.oph_bins([h], self.k)[0])
+        self._step(item, action, h, b)
+
+    def replay(self, items, actions, cuts) -> list[np.ndarray]:
+        """One user's edges in order; the snapshot after the first c edges
+        for each c in ``cuts``. Equals an ``update`` loop, but h and the
+        bin of every edge come from one ``oph_values``/``oph_bins`` call."""
+        items = np.asarray(items, dtype=np.int64)
+        h = hashing.oph_values(items, self.seed)
+        bins = hashing.oph_bins(h, self.k)
+        actions = np.asarray(actions, dtype=np.int64)
+        steps = zip(items.tolist(), actions.tolist(), h, bins.tolist())
+        return replay_steps(self._step, self.snapshot, steps, cuts)
+
+    def _step(self, item: int, action: int, h: np.uint64, b: int) -> None:
+        """One edge against its bin ``b``: keep the bin minimum, empty on its deletion."""
         if action > 0:
             if self.items[b] == EMPTY or h < self.hashes[b]:
                 self.items[b] = item

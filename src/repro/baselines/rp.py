@@ -25,6 +25,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
+from .replay import replay_steps
 
 EMPTY = np.int64(-1)
 
@@ -45,8 +46,24 @@ class RPKernel:
         self.n = 0  # |S_u|, shared by all k samplers
 
     def update(self, item: int, action: int) -> None:
+        self._step(item, action, self.rng.random(self.k) if action > 0 else None)
+
+    def replay(self, items, actions, cuts) -> list[np.ndarray]:
+        """One user's edges in order; the snapshot after the first c edges
+        for each c in ``cuts``. Equals an ``update`` loop: one
+        ``random((n_inserts, k))`` call yields the numbers of n_inserts
+        sequential ``random(k)`` draws, in the same order."""
+        items = np.asarray(items, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        inserted = actions > 0
+        r = np.zeros((items.size, self.k))  # rows of deletes unused
+        r[inserted] = self.rng.random((int(inserted.sum()), self.k))
+        steps = zip(items.tolist(), actions.tolist(), r)
+        return replay_steps(self._step, self.snapshot, steps, cuts)
+
+    def _step(self, item: int, action: int, r: np.ndarray | None) -> None:
+        """One edge; ``r`` holds the k samplers' uniforms on insert."""
         if action > 0:
-            r = self.rng.random(self.k)
             pend = self.c_bad + self.c_good
             fresh = pend == 0
             # reservoir step where no deletions are pending

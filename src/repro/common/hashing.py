@@ -24,6 +24,8 @@ Families provided:
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -32,12 +34,25 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _PAIR_MULT = np.uint64(0x2545F4914F6CDD1D)
 
 
+def _wrapping(z: np.ndarray):
+    """Context in which arithmetic on ``z`` may wrap around 2^64 silently.
+
+    The wrap-around is intended. Only numpy scalar arithmetic (0-d
+    operands) reports it, as a RuntimeWarning; array arithmetic wraps
+    without one. So only 0-d input enters ``np.errstate``, which costs
+    microseconds per call on the per-edge paths.
+    """
+    return np.errstate(over="ignore") if z.ndim == 0 else contextlib.nullcontext()
+
+
 def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over a uint64 array."""
-    z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """Vectorised splitmix64 finaliser over a uint64 array (or scalar)."""
+    z = np.asarray(x, dtype=np.uint64)
+    with _wrapping(z):
+        z = z + _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
 
 def _as_u64(values) -> np.ndarray:
@@ -64,7 +79,8 @@ def hash_pair_u64(a, b, seed: int) -> np.ndarray:
     """
     av = _as_u64(a)
     bv = splitmix64(_as_u64(b) ^ _seed_mix(seed))
-    return splitmix64(av * _PAIR_MULT ^ bv)
+    with _wrapping(av):
+        return splitmix64(av * _PAIR_MULT ^ bv)
 
 
 def psi(items, k: int, seed: int) -> np.ndarray:

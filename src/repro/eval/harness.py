@@ -32,38 +32,60 @@ def _pair_indices(users: np.ndarray, pairs: pd.DataFrame) -> tuple[np.ndarray, n
     return iu, iv
 
 
+def _pair_counts(
+    truth: pd.DataFrame, pairs: pd.DataFrame, n_checkpoints: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (n_u, n_v) as (n_checkpoints, n_pairs) float arrays, with
+    columns in the row order of ``pairs`` — one lookup for the whole run."""
+    keys = pd.MultiIndex.from_arrays(
+        [
+            np.repeat(np.arange(n_checkpoints), len(pairs)),
+            np.tile(pairs["u"].to_numpy(np.int64), n_checkpoints),
+            np.tile(pairs["v"].to_numpy(np.int64), n_checkpoints),
+        ]
+    )
+    counts = truth.set_index(["ckpt", "u", "v"]).loc[keys]
+    shape = (n_checkpoints, len(pairs))
+    return (
+        counts["n_u"].to_numpy(np.float64).reshape(shape),
+        counts["n_v"].to_numpy(np.float64).reshape(shape),
+    )
+
+
+def _estimates_frame(pairs: pd.DataFrame, per_ckpt) -> pd.DataFrame:
+    """Long (u, v, ckpt, s_hat, j_hat) table from one (ŝ, Ĵ) per checkpoint."""
+    return pd.concat(
+        [
+            pd.DataFrame(
+                {"u": pairs["u"], "v": pairs["v"], "ckpt": ci, "s_hat": s_hat, "j_hat": j_hat}
+            )
+            for ci, (s_hat, j_hat) in enumerate(per_ckpt)
+        ],
+        ignore_index=True,
+    )
+
+
 def estimate_vos(
     edges,
     users: np.ndarray,
     pairs: pd.DataFrame,
-    truth: pd.DataFrame,
+    n_u: np.ndarray,
+    n_v: np.ndarray,
     checkpoints: Sequence[int],
     params: vos.VOSParams,
 ) -> pd.DataFrame:
-    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint."""
+    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint.
+
+    ``n_u``/``n_v`` are the exact counters from ``_pair_counts``."""
     A, betas = vos.build_bit_arrays(edges, params, checkpoints)
     iu, iv = _pair_indices(users, pairs)
-    frames = []
+    per_ckpt = []
     for ci in range(len(checkpoints)):
         sk = vos.rebuild_user_sketches(users, A[ci], params)
         alpha = estimator.pair_alpha(sk[iu], sk[iv])
-        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"])
-        nu = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_u"].to_numpy(np.float64)
-        nv = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_v"].to_numpy(np.float64)
-        s_hat = estimator.estimate_common(nu, nv, alpha, betas[ci], params.k)
-        j_hat = estimator.jaccard_from_common(s_hat, nu, nv)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "u": pairs["u"],
-                    "v": pairs["v"],
-                    "ckpt": ci,
-                    "s_hat": s_hat,
-                    "j_hat": j_hat,
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
+        s_hat = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
+        per_ckpt.append((s_hat, estimator.jaccard_from_common(s_hat, n_u[ci], n_v[ci])))
+    return _estimates_frame(pairs, per_ckpt)
 
 
 _BASELINE_ESTIMATORS = {
@@ -74,38 +96,26 @@ _BASELINE_ESTIMATORS = {
 
 
 def estimate_baseline(
-    edges,
+    snaps: pd.DataFrame,
     users: np.ndarray,
     pairs: pd.DataFrame,
-    truth: pd.DataFrame,
-    checkpoints: Sequence[int],
+    n_u: np.ndarray,
+    n_v: np.ndarray,
     method: str,
     k_reg: int,
-    seed: int,
 ) -> pd.DataFrame:
-    """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint."""
-    snaps = driver.sketch_snapshots(edges, users, checkpoints, method, k_reg, seed)
+    """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint.
+
+    ``snaps`` is a ``driver.sketch_snapshots`` frame holding ``method``
+    (and possibly other methods); ``n_u``/``n_v`` come from ``_pair_counts``."""
+    mine = snaps[snaps["method"] == method]
     est = _BASELINE_ESTIMATORS[method]
     iu, iv = _pair_indices(users, pairs)
-    frames = []
-    for ci in range(len(checkpoints)):
-        mat = driver.snapshots_to_matrix(snaps, users, ci, k_reg)
-        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"])
-        nu = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_u"].to_numpy(np.float64)
-        nv = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_v"].to_numpy(np.float64)
-        s_hat, j_hat = est(mat[iu], mat[iv], nu, nv)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "u": pairs["u"],
-                    "v": pairs["v"],
-                    "ckpt": ci,
-                    "s_hat": s_hat,
-                    "j_hat": j_hat,
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
+    per_ckpt = []
+    for ci in range(len(n_u)):
+        mat = driver.snapshots_to_matrix(mine, users, ci, k_reg)
+        per_ckpt.append(est(mat[iu], mat[iv], n_u[ci], n_v[ci]))
+    return _estimates_frame(pairs, per_ckpt)
 
 
 def run_accuracy(
@@ -131,16 +141,22 @@ def run_accuracy(
     try:
         users, pairs = exact.select_tracked(edges, top_n)
         truth = exact.exact_over_time(edges, users, pairs, checkpoints)
+        n_u, n_v = _pair_counts(truth, pairs, len(checkpoints))
         params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
+        # One Spark pass replays every requested baseline.
+        baselines = tuple(m for m in methods if m != "vos")
+        snaps = (
+            driver.sketch_snapshots(edges, users, checkpoints, baselines, k_reg, seed + 13)
+            if baselines
+            else None
+        )
 
         rows = []
         for method in methods:
             if method == "vos":
-                ests = estimate_vos(edges, users, pairs, truth, checkpoints, params)
+                ests = estimate_vos(edges, users, pairs, n_u, n_v, checkpoints, params)
             else:
-                ests = estimate_baseline(
-                    edges, users, pairs, truth, checkpoints, method, k_reg, seed + 13
-                )
+                ests = estimate_baseline(snaps, users, pairs, n_u, n_v, method, k_reg)
             merged = truth.merge(ests, on=["u", "v", "ckpt"], validate="1:1")
             for ci, grp in merged.groupby("ckpt"):
                 rows.append(
@@ -157,15 +173,3 @@ def run_accuracy(
         return pd.DataFrame(rows).sort_values(["method", "ckpt"]).reset_index(drop=True)
     finally:
         edges.unpersist()
-
-
-def run_all_datasets(
-    spark: SparkSession,
-    names: Sequence[str] = ("youtube", "flickr", "orkut", "livejournal"),
-    **kwargs,
-) -> pd.DataFrame:
-    """Fig 3(b)/(d): the final-checkpoint row of every dataset."""
-    frames = [run_accuracy(spark, name, **kwargs) for name in names]
-    full = pd.concat(frames, ignore_index=True)
-    last = full.groupby("dataset")["ckpt"].transform("max")
-    return full[full["ckpt"] == last].reset_index(drop=True)

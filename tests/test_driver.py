@@ -62,6 +62,42 @@ class TestSnapshotEquivalence:
             assert (np.asarray(regs) == -1).all()
 
 
+class TestMultiMethod:
+    def test_one_pass_equals_per_method_calls(self, tiny_stream_sdf, tracked_users):
+        """Replaying several methods in one job changes no snapshot."""
+        k, seed = 16, 3
+        methods = ("minhash", "oph", "rp")
+        together = driver.sketch_snapshots(
+            tiny_stream_sdf, tracked_users, CHECKPOINTS, methods, k, seed
+        )
+        assert list(together["method"].unique()) == sorted(methods)
+        for method in methods:
+            alone = driver.sketch_snapshots(
+                tiny_stream_sdf, tracked_users, CHECKPOINTS, method, k, seed
+            )
+            mine = together[together["method"] == method].reset_index(drop=True)
+            assert (mine[["user", "ckpt"]] == alone[["user", "ckpt"]]).all().all()
+            for a, b in zip(mine["regs"], alone["regs"]):
+                assert (np.asarray(a) == np.asarray(b)).all()
+
+    def test_edgeless_user_with_several_methods(self, tiny_stream_sdf, tracked_users):
+        ghost = 10_000  # not in the stream
+        methods = ("oph", "rp")
+        snaps = driver.sketch_snapshots(
+            tiny_stream_sdf, [ghost, tracked_users[0]], CHECKPOINTS, methods, 8, 0
+        )
+        assert len(snaps) == len(methods) * 2 * len(CHECKPOINTS)
+        empty = snaps[snaps["user"] == ghost]
+        assert sorted(empty["method"].unique()) == list(methods)
+        assert len(empty) == len(methods) * len(CHECKPOINTS)
+        for regs in empty["regs"]:
+            assert (np.asarray(regs) == -1).all()
+
+    def test_unknown_method_in_sequence_raises(self, tiny_stream_sdf):
+        with pytest.raises(ValueError, match="unknown method"):
+            driver.sketch_snapshots(tiny_stream_sdf, [1], [10], ("oph", "bogus"), 8, 0)
+
+
 class TestMatrix:
     def test_snapshots_to_matrix_layout(self, tiny_stream_sdf, tracked_users):
         k = 8

@@ -74,3 +74,22 @@ class TestEstimateHelpers:
         pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
         iu, iv = harness._pair_indices(users, pairs)
         assert (iu == [0, 1]).all() and (iv == [2, 2]).all()
+
+    def test_pair_counts_align_with_pairs(self):
+        import pandas as pd
+
+        pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
+        # truth rows in an order unrelated to pairs
+        truth = pd.DataFrame(
+            {
+                "u": [7, 3, 3, 7],
+                "v": [9, 9, 9, 9],
+                "ckpt": [1, 0, 1, 0],
+                "n_u": [40, 10, 30, 20],
+                "n_v": [41, 11, 31, 21],
+            }
+        )
+        n_u, n_v = harness._pair_counts(truth, pairs, 2)
+        assert n_u.dtype == np.float64 and n_u.shape == (2, 2)
+        assert (n_u == [[10, 20], [30, 40]]).all()
+        assert (n_v == [[11, 21], [31, 41]]).all()

@@ -1,4 +1,6 @@
 """Unit tests for the deterministic hash families (repro.common.hashing)."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,23 @@ class TestSplitmix:
         bits = np.unpackbits(h.view(np.uint8)).reshape(-1, 64)
         frac = bits.mean(axis=0)
         assert (np.abs(frac - 0.5) < 0.02).all()
+
+
+class TestScalarInputs:
+    """Scalar inputs wrap around 2^64 like arrays do, silently."""
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hashing.splitmix64(np.uint64(5))
+            hashing.hash_u64(np.int64(3), 4)
+            hashing.hash_pair_u64(np.int64(3), 4, 0)
+            hashing.f_positions(np.arange(10), 3, 4096, 0)
+
+    def test_scalar_equals_array_element(self):
+        assert hashing.splitmix64(np.uint64(5)) == hashing.splitmix64(np.array([5], np.uint64))[0]
+        assert hashing.hash_u64(np.int64(3), 4) == hashing.hash_u64([3], 4)[0]
+        assert hashing.hash_pair_u64(np.int64(3), 4, 0) == hashing.hash_pair_u64([3], [4], 0)[0]
 
 
 class TestHashU64:
