@@ -32,6 +32,7 @@ def main(argv=None) -> int:
     spark = (
         SparkSession.builder.appName("fig3-accuracy")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.shuffle.partitions", "16")
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

@@ -24,6 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..common import prefix
 from ..core import estimator
 
 
@@ -97,14 +98,10 @@ def exact_over_time(
     """
     cps = [int(c) for c in checkpoints]
     user_list = [int(u) for u in users]
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.lit(1)).otherwise(F.lit(0))).alias(f"c{i}")
-        for i, c in enumerate(cps)
-    ]
     wide = (
         edges.where(F.col("user").isin(user_list))
         .groupBy("user", "item")
-        .agg(*aggs)
+        .agg(*prefix.prefix_sums(cps))
         .toPandas()
     )
     out_rows = []

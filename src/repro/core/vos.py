@@ -11,7 +11,11 @@ the *parity of the flip count per position* over all edges with
 arrival ≤ t. That makes the sequential per-edge definition expressible
 as a Catalyst aggregation — ``groupBy(pos).count() % 2`` — which is how
 ``build_bit_arrays`` builds A (for many checkpoints in a single pass
-using conditional sums). ``VOSKernel`` is the paper's sequential O(1)
+using conditional sums). The estimator reads only β and the tracked
+users' bits Ô_u[j] = A[f_j(u)], so the build counts the 1-bits on the
+executors and, given the positions it should return, sends the driver
+bits at those positions only: the bytes collected scale with tracked
+users × k, not with m. ``VOSKernel`` is the paper's sequential O(1)
 update loop, used for the runtime experiment (Fig 2) and as the
 reference the distributed builds are tested against; the Structured
 Streaming operator lives in ``streaming.py``.
@@ -27,7 +31,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..common import hashing
+from ..common import hashing, prefix
 
 
 @dataclass(frozen=True)
@@ -66,35 +70,77 @@ def with_positions(edges: DataFrame, params: VOSParams) -> DataFrame:
 
 
 def build_bit_arrays(
-    edges: DataFrame, params: VOSParams, checkpoints: Sequence[int]
+    edges: DataFrame,
+    params: VOSParams,
+    checkpoints: Sequence[int],
+    at: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build A at each checkpoint time in one distributed pass.
 
-    Returns ``(A, beta)`` where ``A`` is a (n_checkpoints, m) uint8 bit
-    matrix and ``beta[c]`` the fraction of 1-bits at checkpoint c.
+    Returns ``(bits, beta)``. ``beta[c]`` is the fraction of 1-bits in
+    A at checkpoint c. ``bits`` is a uint8 matrix with one row per
+    checkpoint: the whole of A, (n_checkpoints, m), or, when ``at`` (a
+    sorted array of unique positions) is given, A at those positions
+    only, (n_checkpoints, len(at)).
+
     One shuffle: groupBy position with one conditional flip-count per
-    checkpoint; parity taken on the (≤ n_edges distinct positions)
-    result.
+    checkpoint. A narrow ``mapInPandas`` step after it takes parities on
+    the executors, counts each partition's 1-bits per checkpoint, and
+    emits that partial count plus the rows that have a 1-bit at a
+    requested position (any position when ``at`` is None). The driver
+    sums the partials into β and receives no other position, so with
+    ``at`` it never allocates an m-sized array.
     """
     cps = [int(c) for c in checkpoints]
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.lit(1)).otherwise(F.lit(0))).alias(f"c{i}")
-        for i, c in enumerate(cps)
-    ]
-    rows = with_positions(edges, params).groupBy("pos").agg(*aggs).toPandas()
-    A = np.zeros((len(cps), params.m), dtype=np.uint8)
+    keep = None if at is None else np.asarray(at, dtype=np.int64)
+    if keep is not None and (keep.ndim != 1 or np.any(np.diff(keep) <= 0)):
+        raise ValueError("at must be a sorted 1-D array of unique positions")
+    cols = [f"c{i}" for i in range(len(cps))]
+    schema = T.StructType(
+        [T.StructField(name, T.LongType()) for name in ["pos", *cols]]
+    )
+
+    def emit(batches):
+        # Rows with pos = -1 carry this partition's 1-bit count per checkpoint.
+        ones = np.zeros(len(cps), dtype=np.int64)
+        for pdf in batches:
+            bits = pdf[cols].to_numpy(np.int64) & 1
+            ones += bits.sum(axis=0)
+            pos = pdf["pos"].to_numpy(np.int64)
+            hit = bits.any(axis=1)
+            if keep is not None:
+                hit &= np.searchsorted(keep, pos, "left") != np.searchsorted(keep, pos, "right")
+            out = pd.DataFrame(bits[hit], columns=cols)
+            out.insert(0, "pos", pos[hit])
+            yield out
+        yield pd.DataFrame([[-1, *ones]], columns=["pos", *cols])
+
+    rows = (
+        with_positions(edges, params)
+        .groupBy("pos")
+        .agg(*prefix.prefix_sums(cps))
+        .mapInPandas(emit, schema)
+        .toPandas()
+    )
     pos = rows["pos"].to_numpy(np.int64)
-    for i in range(len(cps)):
-        A[i, pos] = (rows[f"c{i}"].to_numpy(np.int64) % 2).astype(np.uint8)
-    return A, A.mean(axis=1)
+    vals = rows[cols].to_numpy(np.int64)
+    partial = pos < 0
+    bits = np.zeros((len(cps), params.m if keep is None else len(keep)), dtype=np.uint8)
+    slot = pos[~partial] if keep is None else np.searchsorted(keep, pos[~partial])
+    bits[:, slot] = vals[~partial].T
+    return bits, vals[partial].sum(axis=0) / params.m
+
+
+def user_positions(users, params: VOSParams) -> np.ndarray:
+    """f_j(u) for j = 0..k−1 per user — (n_users, k) int64 positions in A."""
+    us = np.asarray(users, dtype=np.int64)
+    j = np.arange(params.k, dtype=np.int64)
+    return hashing.f_positions(us[:, None], j[None, :], params.m, params.seed)
 
 
 def rebuild_user_sketches(users, A_row: np.ndarray, params: VOSParams) -> np.ndarray:
     """Ô_u[j] = A[f_j(u)] for each user — (n_users, k) uint8 matrix."""
-    us = np.asarray(users, dtype=np.int64)
-    j = np.arange(params.k, dtype=np.int64)
-    pos = hashing.f_positions(us[:, None], j[None, :], params.m, params.seed)
-    return A_row[pos]
+    return A_row[user_positions(users, params)]
 
 
 def user_counts_at(
@@ -105,17 +151,10 @@ def user_counts_at(
     Returns long-format pandas: columns ``user``, ``ckpt`` (index into
     ``checkpoints``), ``n``. Restricted to ``users`` when given.
     """
-    cps = [int(c) for c in checkpoints]
     df = edges
     if users is not None:
         df = df.where(F.col("user").isin([int(u) for u in users]))
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.col("action")).otherwise(F.lit(0))).alias(
-            f"c{i}"
-        )
-        for i, c in enumerate(cps)
-    ]
-    wide = df.groupBy("user").agg(*aggs).toPandas()
+    wide = df.groupBy("user").agg(*prefix.prefix_sums(checkpoints, F.col("action"))).toPandas()
     out = wide.melt(id_vars=["user"], var_name="ckpt", value_name="n")
     out["ckpt"] = out["ckpt"].str.removeprefix("c").astype(int)
     out["n"] = out["n"].astype(np.int64)

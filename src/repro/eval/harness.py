@@ -76,12 +76,17 @@ def estimate_vos(
 ) -> pd.DataFrame:
     """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint.
 
-    ``n_u``/``n_v`` are the exact counters from ``_pair_counts``."""
-    A, betas = vos.build_bit_arrays(edges, params, checkpoints)
+    ``n_u``/``n_v`` are the exact counters from ``_pair_counts``. Only
+    the tracked users' positions are built, so the sketches are read
+    through the index of each f_j(u) into those positions."""
+    pos = vos.user_positions(users, params)
+    at, slot = np.unique(pos, return_inverse=True)
+    bits, betas = vos.build_bit_arrays(edges, params, checkpoints, at=at)
+    slot = slot.reshape(pos.shape)
     iu, iv = _pair_indices(users, pairs)
     per_ckpt = []
     for ci in range(len(checkpoints)):
-        sk = vos.rebuild_user_sketches(users, A[ci], params)
+        sk = bits[ci][slot]
         alpha = estimator.pair_alpha(sk[iu], sk[iv])
         s_hat = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
         per_ckpt.append((s_hat, estimator.jaccard_from_common(s_hat, n_u[ci], n_v[ci])))

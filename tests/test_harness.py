@@ -93,3 +93,42 @@ class TestEstimateHelpers:
         assert n_u.dtype == np.float64 and n_u.shape == (2, 2)
         assert (n_u == [[10, 20], [30, 40]]).all()
         assert (n_v == [[11, 21], [31, 41]]).all()
+
+
+class TestEstimateVos:
+    def test_equals_dense_build_and_rebuild(self, tiny_stream_sdf, tiny_stream_pdf):
+        """The sparse path gives the same frame as the dense A read through
+        ``rebuild_user_sketches``, with an edgeless tracked user and two
+        tracked users whose f_j positions collide."""
+        import itertools
+
+        import pandas as pd
+
+        from repro.baselines import exact
+        from repro.core import estimator, vos
+
+        params = vos.VOSParams(k=64, m=2048, seed=7)
+        active = np.sort(tiny_stream_pdf["user"].unique())[:5]
+        pos = vos.user_positions(active, params)
+        assert any(
+            np.intersect1d(pos[a], pos[b]).size for a, b in itertools.combinations(range(5), 2)
+        ), "no two tracked users share a position"
+        edgeless = int(tiny_stream_pdf["user"].max()) + 1000
+        users = np.sort(np.r_[active, edgeless])
+        pairs = pd.DataFrame(list(itertools.combinations(users, 2)), columns=["u", "v"])
+        T = int(tiny_stream_pdf["t"].max())
+        cps = [T // 3, T]
+        truth = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
+        n_u, n_v = harness._pair_counts(truth, pairs, len(cps))
+
+        got = harness.estimate_vos(tiny_stream_sdf, users, pairs, n_u, n_v, cps, params)
+
+        A, betas = vos.build_bit_arrays(tiny_stream_sdf, params, cps)
+        iu, iv = harness._pair_indices(users, pairs)
+        per_ckpt = []
+        for ci in range(len(cps)):
+            sk = vos.rebuild_user_sketches(users, A[ci], params)
+            alpha = estimator.pair_alpha(sk[iu], sk[iv])
+            s_hat = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
+            per_ckpt.append((s_hat, estimator.jaccard_from_common(s_hat, n_u[ci], n_v[ci])))
+        pd.testing.assert_frame_equal(got, harness._estimates_frame(pairs, per_ckpt))

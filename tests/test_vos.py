@@ -83,6 +83,89 @@ class TestBatchBuild:
         assert betas[0] == pytest.approx(A[0].mean())
 
 
+class TestSparseBuild:
+    """``build_bit_arrays(..., at=…)``: A at the requested positions only,
+    with β still counted over the whole array."""
+
+    @pytest.fixture(scope="class")
+    def cps(self, tiny_stream_pdf):
+        T = int(tiny_stream_pdf["t"].max())
+        return [T // 4, T // 2, (3 * T) // 4, T]
+
+    @pytest.fixture(scope="class")
+    def dense(self, tiny_stream_sdf, cps):
+        return vos.build_bit_arrays(tiny_stream_sdf, PARAMS, cps)
+
+    @pytest.fixture(scope="class")
+    def touched(self, tiny_stream_pdf):
+        from repro.common import hashing
+
+        return np.unique(
+            hashing.vos_positions(
+                tiny_stream_pdf["user"].to_numpy(np.int64),
+                tiny_stream_pdf["item"].to_numpy(np.int64),
+                PARAMS.k,
+                PARAMS.m,
+                PARAMS.seed,
+            )
+        )
+
+    def test_rows_equal_dense_rows_at_positions(self, tiny_stream_sdf, cps, dense, touched):
+        A, betas = dense
+        rng = np.random.default_rng(0)
+        # Touched and untouched positions, both ends of A included.
+        at = np.unique(np.r_[0, PARAMS.m - 1, touched[::3], rng.integers(0, PARAMS.m, 300)])
+        bits, sparse_betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, cps, at=at)
+        assert bits.shape == (len(cps), len(at)) and bits.dtype == np.uint8
+        for row in range(len(cps)):
+            assert (bits[row] == A[row, at]).all(), f"checkpoint {cps[row]}"
+        assert (sparse_betas == betas).all()
+
+    def test_every_position_equals_dense(self, tiny_stream_sdf, cps, dense):
+        A, betas = dense
+        bits, sparse_betas = vos.build_bit_arrays(
+            tiny_stream_sdf, PARAMS, cps, at=np.arange(PARAMS.m)
+        )
+        assert (bits == A).all()
+        assert (sparse_betas == betas).all()
+
+    def test_untouched_positions_read_zero(self, tiny_stream_sdf, cps, dense, touched):
+        untouched = np.setdiff1d(np.arange(PARAMS.m), touched)
+        assert len(untouched) > 0
+        bits, betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, cps, at=untouched)
+        assert bits.shape == (len(cps), len(untouched))
+        assert not bits.any()
+        assert (betas == dense[1]).all()
+
+    def test_checkpoint_before_first_edge(self, tiny_stream_sdf, tiny_stream_pdf, touched):
+        before = int(tiny_stream_pdf["t"].min()) - 1
+        for at in (None, touched):
+            bits, betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, [before], at=at)
+            assert not bits.any()
+            assert betas[0] == 0.0
+
+    def test_empty_stream(self, spark, tiny_stream_sdf, touched):
+        empty = spark.createDataFrame([], tiny_stream_sdf.schema)
+        for at in (None, touched):
+            bits, betas = vos.build_bit_arrays(empty, PARAMS, [0, 10], at=at)
+            width = PARAMS.m if at is None else len(touched)
+            assert bits.shape == (2, width)
+            assert not bits.any()
+            assert (betas == 0.0).all()
+
+    def test_beta_is_exactly_dense_mean(self, tiny_stream_sdf, cps, dense, touched):
+        A, betas = dense
+        _, sparse_betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, cps, at=touched[:10])
+        for row in range(len(cps)):
+            assert betas[row] == A[row].mean()
+            assert sparse_betas[row] == A[row].mean()
+
+    @pytest.mark.parametrize("at", [[5, 3, 9], [3, 3, 9], [[1, 2], [3, 4]]])
+    def test_rejects_unsorted_or_duplicate_positions(self, tiny_stream_sdf, at):
+        with pytest.raises(ValueError):
+            vos.build_bit_arrays(tiny_stream_sdf, PARAMS, [1], at=at)
+
+
 class TestRebuild:
     def test_matches_kernel_sketch(self, kernel_ref):
         users = [1, 2, 5, 17]
