@@ -2,7 +2,8 @@
 
 Generates a dataset's fully dynamic stream, feeds it to the stateful
 VOS operator in micro-batches of parquet files, and after each drain
-prints β and the VOS similarity estimates of the top tracked pair —
+prints the query's last progress (input rows, trigger time, state rows
+and bytes), β and the VOS similarity estimates of the top tracked pair —
 the "estimate similarities over time from the sketch built on-the-fly"
 workflow of the paper.
 
@@ -52,9 +53,7 @@ def main(argv=None) -> int:
         import os
 
         os.makedirs(indir)
-        query = streaming.start_query(
-            spark, indir, ckdir, params, n_buckets=64, query_name="vos_demo"
-        )
+        query = streaming.start_query(spark, indir, ckdir, params, query_name="vos_demo")
         cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
         lo = 0
         for bi, hi in enumerate(cuts):
@@ -62,7 +61,15 @@ def main(argv=None) -> int:
             chunk.to_parquet(f"{indir}/batch{bi:03d}.parquet")
             lo = hi
             query.processAllAvailable()
-            A, beta = streaming.assemble_bit_array(spark, "vos_demo", params, 64)
+            prog = query.lastProgress
+            state = prog.stateOperators[0]
+            print(
+                f"[demo] progress input_rows={prog.numInputRows} "
+                f"trigger_ms={prog.durationMs['triggerExecution']} "
+                f"state_rows={state.numRowsTotal} "
+                f"state_bytes={state.memoryUsedBytes}"
+            )
+            A, beta = streaming.assemble_bit_array(spark, "vos_demo", params)
             truth = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], [hi]).iloc[0]
             sk = vos.rebuild_user_sketches([u, v], A, params)
             alpha = float(np.mean(sk[0] != sk[1]))

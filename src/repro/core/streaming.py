@@ -1,123 +1,36 @@
-"""VOS as a Structured Streaming stateful operator.
+"""VOS as a Structured Streaming aggregation.
 
 This is the distributed-dataflow form of the paper's algorithm: edge
 events (user, item, action) arrive on a stream; each event must be
 absorbed into the shared bit array A with O(1) work and the sketch must
 be queryable at any time.
 
-Layout. The bit array A (m bits) is partitioned cyclically into
-``n_buckets`` key groups: position p lives in bucket ``p % n_buckets``
-at local slot ``p // n_buckets``. The stream is hashed to positions
-with the same ``pandas_udf`` the batch build uses, grouped by bucket,
-and fed through ``applyInPandasWithState``: each bucket's state is its
-slice of A packed into 64-bit words plus its 1-bit count. A micro-batch
-with e edges does O(e) total work (one bincount-parity + word xors), so
-the O(1)-per-edge property is preserved; xor commutativity makes the
-result bit-exact equal to the sequential algorithm regardless of how
-the engine batches or orders events (the same argument the paper makes
-for order-independence of A).
+Every edge flips one bit, A[f_ψ(item)(user)], and flips commute, so A at
+any time is the parity of the number of flips each position has seen —
+the same argument the paper makes for order-independence of A, and the
+one the batch build uses (``groupBy(pos).count() % 2``). The stream is
+hashed to positions with the same ``pandas_udf`` the batch build uses
+and fed through Spark's built-in streaming ``groupBy("pos").count()``:
+its state is one row per touched position holding that position's flip
+count, a micro-batch with e edges updates at most e state rows, and the
+stateful stage runs no Python. The result is bit-exact equal to the
+sequential algorithm regardless of how the engine batches or orders
+events.
 
-Output. After every micro-batch each touched bucket emits (bucket,
-version, ones, packed words) to a memory sink; ``assemble_bit_array``
-folds the latest row per bucket back into (A, β). β is maintained
-per-bucket as an exact 1-bit count — the streaming analogue of the
-paper's running β counter.
+Output. In ``update`` mode each micro-batch writes (pos, flips) for the
+positions it touched to a memory sink. A position's count only grows,
+so its largest count in the sink is its latest; ``assemble_bit_array``
+folds the sink into A[pos] = flips & 1 and β = A.mean(), the 1-bit
+fraction the paper's running β counter tracks.
 """
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
-from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from ..streams.generator import STREAM_SCHEMA
 from . import vos
-
-UPDATE_SCHEMA = T.StructType(
-    [
-        T.StructField("bucket", T.LongType(), False),
-        T.StructField("version", T.LongType(), False),
-        T.StructField("ones", T.LongType(), False),
-        T.StructField("words", T.ArrayType(T.LongType()), False),
-    ]
-)
-
-STATE_SCHEMA = T.StructType(
-    [
-        T.StructField("words", T.ArrayType(T.LongType()), False),
-        T.StructField("ones", T.LongType(), False),
-        T.StructField("version", T.LongType(), False),
-    ]
-)
-
-
-def bucket_slots(m: int, n_buckets: int) -> int:
-    """Slots per bucket under cyclic partitioning (uniform, padded)."""
-    return (m + n_buckets - 1) // n_buckets
-
-
-def _n_words(slots: int) -> int:
-    return (slots + 63) // 64
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-def _make_update_fn(m: int, n_buckets: int):
-    """Stateful bucket updater: xor this batch's flip parities into the
-    bucket's packed slice of A."""
-    slots = bucket_slots(m, n_buckets)
-    n_words = _n_words(slots)
-
-    def update(
-        key: Tuple[int],
-        pdfs: Iterator[pd.DataFrame],
-        state: GroupState,
-    ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            stored_words, _ones, version = state.get
-            words = np.asarray(stored_words, dtype=np.int64).astype(np.uint64)
-        else:
-            words = np.zeros(n_words, dtype=np.uint64)
-            version = 0
-        flips = np.zeros(slots, dtype=np.int64)
-        for pdf in pdfs:
-            local = pdf["local"].to_numpy(np.int64)
-            flips += np.bincount(local, minlength=slots)
-        odd = np.flatnonzero(flips % 2 == 1)
-        w = odd // 64
-        bitmask = np.uint64(1) << (odd % 64).astype(np.uint64)
-        np.bitwise_xor.at(words, w, bitmask)
-        ones = _popcount(words)
-        version += 1
-        out_words = words.astype(np.int64).tolist()
-        state.update((out_words, ones, version))
-        yield pd.DataFrame(
-            {
-                "bucket": [int(key[0])],
-                "version": [version],
-                "ones": [ones],
-                "words": [out_words],
-            }
-        )
-
-    return update
-
-
-def bucketed_positions(
-    edges: DataFrame, params: vos.VOSParams, n_buckets: int
-) -> DataFrame:
-    """Append (bucket, local) — the key-group layout of each edge's flip."""
-    return (
-        vos.with_positions(edges, params)
-        .withColumn("bucket", F.col("pos") % F.lit(n_buckets))
-        .withColumn("local", (F.col("pos") / F.lit(n_buckets)).cast("long"))
-    )
 
 
 def start_query(
@@ -132,24 +45,19 @@ def start_query(
     """Start the streaming VOS build over a parquet file source.
 
     New parquet files dropped into ``input_dir`` (STREAM_SCHEMA rows)
-    are absorbed into the bucketed state; call
+    update the per-position flip counts; call
     ``query.processAllAvailable()`` to drain, then
-    ``assemble_bit_array`` to materialise (A, β).
+    ``assemble_bit_array`` to materialise (A, β). ``n_buckets`` has no
+    effect; it is accepted so existing callers keep working.
     """
     edges = spark.readStream.schema(STREAM_SCHEMA).parquet(input_dir)
-    updates = (
-        bucketed_positions(edges, params, n_buckets)
-        .groupBy("bucket")
-        .applyInPandasWithState(
-            _make_update_fn(params.m, n_buckets),
-            UPDATE_SCHEMA,
-            STATE_SCHEMA,
-            "update",
-            GroupStateTimeout.NoTimeout,
-        )
+    flips = (
+        vos.with_positions(edges, params)
+        .groupBy("pos")
+        .agg(F.count(F.lit(1)).alias("flips"))
     )
     return (
-        updates.writeStream.format("memory")
+        flips.writeStream.format("memory")
         .queryName(query_name)
         .outputMode("update")
         .option("checkpointLocation", checkpoint_dir)
@@ -160,17 +68,10 @@ def start_query(
 def assemble_bit_array(
     spark: SparkSession, query_name: str, params: vos.VOSParams, n_buckets: int = 64
 ) -> tuple[np.ndarray, float]:
-    """Fold the memory-sink rows into (A, β) — latest version per bucket."""
-    pdf = spark.table(query_name).toPandas()
+    """Fold the memory-sink rows into (A, β): the largest flip count per
+    position is its latest, and A[pos] is its parity. ``n_buckets`` has
+    no effect; it is accepted so existing callers keep working."""
+    latest = spark.table(query_name).toPandas().groupby("pos")["flips"].max()
     A = np.zeros(params.m, dtype=np.uint8)
-    if pdf.empty:
-        return A, 0.0
-    latest = pdf.sort_values("version").groupby("bucket").tail(1)
-    slots = bucket_slots(params.m, n_buckets)
-    for bucket, words in zip(latest["bucket"], latest["words"]):
-        warr = np.asarray(words, dtype=np.int64).astype(np.uint64)
-        bits = np.unpackbits(warr.view(np.uint8), bitorder="little")[:slots]
-        pos = int(bucket) + n_buckets * np.arange(slots, dtype=np.int64)
-        valid = pos < params.m
-        A[pos[valid]] = bits[valid]
+    A[latest.index.to_numpy(np.int64)] = latest.to_numpy(np.int64) & 1
     return A, float(A.mean())

@@ -49,3 +49,5 @@ class TestStreamDemoJob:
         assert rc == 0
         out = capsys.readouterr().out
         assert "beta=" in out and "s_true=" in out
+        for field in ("input_rows=", "trigger_ms=", "state_rows=", "state_bytes="):
+            assert out.count(field) == 2, field
