@@ -5,15 +5,18 @@ of (u, i, ·) elements with arrival ≤ t is odd (insertions and deletions
 of an edge strictly alternate). Every exact quantity derives from that
 parity rule:
 
-* ``present`` / ``cardinalities`` / ``pair_commons`` — Spark
-  DataFrame computations (one parity aggregation, then a self-join on
-  item for pairs); these are what the DuckDB oracle cross-checks.
+* ``present`` / ``cardinalities`` — Spark DataFrame computations (one
+  parity aggregation).
 * ``select_tracked`` — the paper's §V selection: users with the largest
   final cardinalities, pairs among them sharing ≥ 1 item at the end.
-* ``exact_over_time`` — the evaluation fast path: one Spark pass
-  collects per-(user, item) prefix parities for all checkpoints, then
-  pair intersections are computed driver-side over the (small) tracked
-  subset.
+* ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the
+  tracked pairs at every checkpoint.
+
+Both tracked-user functions run one Spark aggregation of the tracked
+users' per-(user, item) occurrence counts and compute every pair
+overlap on the driver as a membership-matrix product (``_overlaps``):
+tracked users are a few dozen, their distinct items a few thousand.
+The DuckDB oracle cross-checks all four functions in the tests.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..common import prefix
@@ -44,20 +47,46 @@ def cardinalities(edges: DataFrame, t: int | None = None) -> DataFrame:
     return present(edges, t).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
 
 
-def pair_commons(
-    edges: DataFrame, t: int | None = None, users: Sequence[int] | None = None
-) -> DataFrame:
-    """Exact s_uv (u < v, s ≥ 1) at time t via a self-join on item."""
-    p = present(edges, t)
-    if users is not None:
-        p = p.where(F.col("user").isin([int(u) for u in users]))
-    a = p.alias("a")
-    b = p.alias("b")
-    return (
-        a.join(b, on=(F.col("a.item") == F.col("b.item")) & (F.col("a.user") < F.col("b.user")))
-        .groupBy(F.col("a.user").alias("u"), F.col("b.user").alias("v"))
-        .agg(F.count(F.lit(1)).alias("s"))
+def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of each pair's two users in ``users`` (unique ids, any
+    order). Raises ``ValueError`` if a pair names a user not in ``users``."""
+    index = pd.Index(np.asarray(users, dtype=np.int64))
+    iu = index.get_indexer(pairs["u"].to_numpy(np.int64))
+    iv = index.get_indexer(pairs["v"].to_numpy(np.int64))
+    if (iu < 0).any() or (iv < 0).any():
+        raise ValueError("pairs name a user that is not in users")
+    return iu, iv
+
+
+def _overlaps(
+    edges: DataFrame, users, counts: Sequence[Column]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact n and S of the tracked ``users``, one slice per count column.
+
+    ``counts`` are per-(user, item) occurrence-count aggregates, one per
+    checkpoint; one Spark aggregation computes them over the tracked
+    users' edges. On the driver, M[c, u, i] = 1 iff user u's count of
+    item i is odd at checkpoint c, over the tracked users × their
+    distinct items. Returns int64 ``n = M.sum(-1)``, shape (n_ckpt,
+    n_users), and ``S = M @ Mᵀ``, shape (n_ckpt, n_users, n_users), with
+    rows in the order of ``users``.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    wide = (
+        edges.where(F.col("user").isin(users.tolist()))
+        .groupBy("user", "item")
+        .agg(*counts)
+        .toPandas()
     )
+    rows = pd.Index(users).get_indexer(wide["user"].to_numpy(np.int64))
+    cols, items = pd.factorize(wide["item"])
+    odd = wide.iloc[:, 2:].to_numpy(np.int64).T % 2
+    # float64 so the product runs in BLAS; sums of 0/1 stay exact far
+    # beyond any item count here (< 2^53).
+    M = np.zeros((len(counts), len(users), len(items)))
+    M[:, rows, cols] = odd
+    S = M @ M.transpose(0, 2, 1)
+    return M.sum(-1).astype(np.int64), S.astype(np.int64)
 
 
 def select_tracked(
@@ -65,21 +94,20 @@ def select_tracked(
 ) -> tuple[np.ndarray, pd.DataFrame]:
     """Paper §V selection at final time.
 
-    Returns (tracked user ids ascending, pairs DataFrame with columns
-    u, v, s_final) — the pairs among the ``top_n`` largest-cardinality
-    users that share at least one item when the whole stream has
-    arrived. Ties broken by user id for determinism.
+    Returns (tracked user ids ascending, pairs DataFrame with int64
+    columns u, v, s_final sorted by (u, v)) — the pairs among the
+    ``top_n`` largest-cardinality users that share at least one item
+    when the whole stream has arrived. Ties broken by user id for
+    determinism.
     """
     card = cardinalities(edges).toPandas()
     card = card.sort_values(["n", "user"], ascending=[False, True])
     users = np.sort(card["user"].to_numpy(np.int64)[:top_n])
-    pairs = (
-        pair_commons(edges, users=users)
-        .toPandas()
-        .rename(columns={"s": "s_final"})
-        .sort_values(["u", "v"])
-        .reset_index(drop=True)
-    )
+    _, S = _overlaps(edges, users, [F.count(F.lit(1))])
+    iu, iv = np.triu_indices(len(users), 1)
+    s = S[0, iu, iv]
+    keep = s > 0
+    pairs = pd.DataFrame({"u": users[iu[keep]], "v": users[iv[keep]], "s_final": s[keep]})
     return users, pairs
 
 
@@ -91,36 +119,24 @@ def exact_over_time(
 ) -> pd.DataFrame:
     """Exact (u, v, ckpt) → s, n_u, n_v, j for tracked pairs.
 
-    One Spark aggregation produces, per tracked (user, item), the
-    occurrence count at every checkpoint; parities and pairwise
-    intersections are then computed on the driver (tracked users are a
-    few dozen, so this is tiny).
+    ``users`` may be in any order but must hold every user in ``pairs``.
+    Rows come in (ckpt, ``pairs`` row) order: row ``ci·len(pairs) + r``
+    is pair ``r`` at checkpoint ``ci``, so each column reshapes to
+    (n_checkpoints, n_pairs).
     """
-    cps = [int(c) for c in checkpoints]
-    user_list = [int(u) for u in users]
-    wide = (
-        edges.where(F.col("user").isin(user_list))
-        .groupBy("user", "item")
-        .agg(*prefix.prefix_sums(cps))
-        .toPandas()
-    )
-    out_rows = []
-    pu = pairs["u"].to_numpy(np.int64)
-    pv = pairs["v"].to_numpy(np.int64)
-    for ci in range(len(cps)):
-        parity = wide[f"c{ci}"].to_numpy(np.int64) % 2 == 1
-        pres = wide.loc[parity, ["user", "item"]]
-        sets: dict[int, frozenset] = {
-            int(u): frozenset(g) for u, g in pres.groupby("user")["item"]
+    n, S = _overlaps(edges, users, prefix.prefix_sums(checkpoints))
+    iu, iv = pair_indices(users, pairs)
+    n_ckpt = len(checkpoints)
+    out = pd.DataFrame(
+        {
+            "u": np.tile(pairs["u"].to_numpy(np.int64), n_ckpt),
+            "v": np.tile(pairs["v"].to_numpy(np.int64), n_ckpt),
+            "ckpt": np.repeat(np.arange(n_ckpt, dtype=np.int64), len(pairs)),
+            "s": S[:, iu, iv].ravel(),
+            "n_u": n[:, iu].ravel(),
+            "n_v": n[:, iv].ravel(),
         }
-        empty: frozenset = frozenset()
-        for u, v in zip(pu, pv):
-            su = sets.get(int(u), empty)
-            sv = sets.get(int(v), empty)
-            s = len(su & sv)
-            nu, nv = len(su), len(sv)
-            out_rows.append((int(u), int(v), ci, s, nu, nv))
-    out = pd.DataFrame(out_rows, columns=["u", "v", "ckpt", "s", "n_u", "n_v"])
+    )
     out["j"] = estimator.jaccard_from_common(
         out["s"].to_numpy(), out["n_u"].to_numpy(), out["n_v"].to_numpy()
     )

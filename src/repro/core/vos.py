@@ -143,24 +143,6 @@ def rebuild_user_sketches(users, A_row: np.ndarray, params: VOSParams) -> np.nda
     return A_row[user_positions(users, params)]
 
 
-def user_counts_at(
-    edges: DataFrame, checkpoints: Sequence[int], users: Sequence[int] | None = None
-) -> pd.DataFrame:
-    """Exact n_u at each checkpoint (the paper's per-user counters).
-
-    Returns long-format pandas: columns ``user``, ``ckpt`` (index into
-    ``checkpoints``), ``n``. Restricted to ``users`` when given.
-    """
-    df = edges
-    if users is not None:
-        df = df.where(F.col("user").isin([int(u) for u in users]))
-    wide = df.groupBy("user").agg(*prefix.prefix_sums(checkpoints, F.col("action"))).toPandas()
-    out = wide.melt(id_vars=["user"], var_name="ckpt", value_name="n")
-    out["ckpt"] = out["ckpt"].str.removeprefix("c").astype(int)
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values(["user", "ckpt"]).reset_index(drop=True)
-
-
 class VOSKernel:
     """Sequential O(1)-per-edge VOS update — the paper's Algorithm.
 

@@ -25,46 +25,6 @@ from . import metrics
 METHODS = ("vos", "minhash", "oph", "rp")
 
 
-def _pair_indices(users: np.ndarray, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of each pair's two users in the sorted ``users`` array."""
-    iu = np.searchsorted(users, pairs["u"].to_numpy(np.int64))
-    iv = np.searchsorted(users, pairs["v"].to_numpy(np.int64))
-    return iu, iv
-
-
-def _pair_counts(
-    truth: pd.DataFrame, pairs: pd.DataFrame, n_checkpoints: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (n_u, n_v) as (n_checkpoints, n_pairs) float arrays, with
-    columns in the row order of ``pairs`` — one lookup for the whole run."""
-    keys = pd.MultiIndex.from_arrays(
-        [
-            np.repeat(np.arange(n_checkpoints), len(pairs)),
-            np.tile(pairs["u"].to_numpy(np.int64), n_checkpoints),
-            np.tile(pairs["v"].to_numpy(np.int64), n_checkpoints),
-        ]
-    )
-    counts = truth.set_index(["ckpt", "u", "v"]).loc[keys]
-    shape = (n_checkpoints, len(pairs))
-    return (
-        counts["n_u"].to_numpy(np.float64).reshape(shape),
-        counts["n_v"].to_numpy(np.float64).reshape(shape),
-    )
-
-
-def _estimates_frame(pairs: pd.DataFrame, per_ckpt) -> pd.DataFrame:
-    """Long (u, v, ckpt, s_hat, j_hat) table from one (ŝ, Ĵ) per checkpoint."""
-    return pd.concat(
-        [
-            pd.DataFrame(
-                {"u": pairs["u"], "v": pairs["v"], "ckpt": ci, "s_hat": s_hat, "j_hat": j_hat}
-            )
-            for ci, (s_hat, j_hat) in enumerate(per_ckpt)
-        ],
-        ignore_index=True,
-    )
-
-
 def estimate_vos(
     edges,
     users: np.ndarray,
@@ -73,24 +33,27 @@ def estimate_vos(
     n_v: np.ndarray,
     checkpoints: Sequence[int],
     params: vos.VOSParams,
-) -> pd.DataFrame:
-    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint.
+) -> tuple[np.ndarray, np.ndarray]:
+    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint, each a
+    (n_checkpoints, n_pairs) array with columns in the row order of
+    ``pairs``.
 
-    ``n_u``/``n_v`` are the exact counters from ``_pair_counts``. Only
-    the tracked users' positions are built, so the sketches are read
-    through the index of each f_j(u) into those positions."""
+    ``n_u``/``n_v`` are the exact counters in that shape. Only the
+    tracked users' positions are built, so the sketches are read through
+    the index of each f_j(u) into those positions."""
     pos = vos.user_positions(users, params)
     at, slot = np.unique(pos, return_inverse=True)
     bits, betas = vos.build_bit_arrays(edges, params, checkpoints, at=at)
     slot = slot.reshape(pos.shape)
-    iu, iv = _pair_indices(users, pairs)
-    per_ckpt = []
+    iu, iv = exact.pair_indices(users, pairs)
+    s_hat = np.empty(n_u.shape)
+    j_hat = np.empty(n_u.shape)
     for ci in range(len(checkpoints)):
         sk = bits[ci][slot]
         alpha = estimator.pair_alpha(sk[iu], sk[iv])
-        s_hat = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
-        per_ckpt.append((s_hat, estimator.jaccard_from_common(s_hat, n_u[ci], n_v[ci])))
-    return _estimates_frame(pairs, per_ckpt)
+        s_hat[ci] = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
+        j_hat[ci] = estimator.jaccard_from_common(s_hat[ci], n_u[ci], n_v[ci])
+    return s_hat, j_hat
 
 
 _BASELINE_ESTIMATORS = {
@@ -108,19 +71,22 @@ def estimate_baseline(
     n_v: np.ndarray,
     method: str,
     k_reg: int,
-) -> pd.DataFrame:
-    """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint.
+) -> tuple[np.ndarray, np.ndarray]:
+    """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint,
+    shaped like ``estimate_vos``'s.
 
     ``snaps`` is a ``driver.sketch_snapshots`` frame holding ``method``
-    (and possibly other methods); ``n_u``/``n_v`` come from ``_pair_counts``."""
+    (and possibly other methods); ``n_u``/``n_v`` are the exact counters
+    as (n_checkpoints, n_pairs) arrays."""
     mine = snaps[snaps["method"] == method]
     est = _BASELINE_ESTIMATORS[method]
-    iu, iv = _pair_indices(users, pairs)
-    per_ckpt = []
+    iu, iv = exact.pair_indices(users, pairs)
+    s_hat = np.empty(n_u.shape)
+    j_hat = np.empty(n_u.shape)
     for ci in range(len(n_u)):
         mat = driver.snapshots_to_matrix(mine, users, ci, k_reg)
-        per_ckpt.append(est(mat[iu], mat[iv], n_u[ci], n_v[ci]))
-    return _estimates_frame(pairs, per_ckpt)
+        s_hat[ci], j_hat[ci] = est(mat[iu], mat[iv], n_u[ci], n_v[ci])
+    return s_hat, j_hat
 
 
 def run_accuracy(
@@ -146,7 +112,11 @@ def run_accuracy(
     try:
         users, pairs = exact.select_tracked(edges, top_n)
         truth = exact.exact_over_time(edges, users, pairs, checkpoints)
-        n_u, n_v = _pair_counts(truth, pairs, len(checkpoints))
+        # Truth rows come in (ckpt, pairs row) order.
+        s, n_u, n_v, j = (
+            truth[c].to_numpy(np.float64).reshape(len(checkpoints), len(pairs))
+            for c in ("s", "n_u", "n_v", "j")
+        )
         params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
         # One Spark pass replays every requested baseline.
         baselines = tuple(m for m in methods if m != "vos")
@@ -159,20 +129,19 @@ def run_accuracy(
         rows = []
         for method in methods:
             if method == "vos":
-                ests = estimate_vos(edges, users, pairs, n_u, n_v, checkpoints, params)
+                s_hat, j_hat = estimate_vos(edges, users, pairs, n_u, n_v, checkpoints, params)
             else:
-                ests = estimate_baseline(snaps, users, pairs, n_u, n_v, method, k_reg)
-            merged = truth.merge(ests, on=["u", "v", "ckpt"], validate="1:1")
-            for ci, grp in merged.groupby("ckpt"):
+                s_hat, j_hat = estimate_baseline(snaps, users, pairs, n_u, n_v, method, k_reg)
+            for ci, t in enumerate(checkpoints):
                 rows.append(
                     {
                         "dataset": dataset,
                         "method": method,
-                        "ckpt": int(ci),
-                        "t": checkpoints[int(ci)],
-                        "n_pairs": len(grp),
-                        "aape": metrics.aape(grp["s"], grp["s_hat"]),
-                        "armse": metrics.armse(grp["j"], grp["j_hat"]),
+                        "ckpt": ci,
+                        "t": t,
+                        "n_pairs": len(pairs),
+                        "aape": metrics.aape(s[ci], s_hat[ci]),
+                        "armse": metrics.armse(j[ci], j_hat[ci]),
                     }
                 )
         return pd.DataFrame(rows).sort_values(["method", "ckpt"]).reset_index(drop=True)

@@ -1,6 +1,7 @@
 """Tests for the exact ground-truth engine (repro.baselines.exact),
 cross-checked against DuckDB via the oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -13,6 +14,26 @@ PRESENT_SQL = """
         SELECT "user", item, COUNT(*) AS cnt FROM stream {where}
         GROUP BY "user", item
     ) WHERE cnt % 2 = 1
+"""
+
+# Exact s, n_u, n_v of every row of ``pairs`` at every row (ckpt, t) of ``cps``.
+TRUTH_SQL = """
+    WITH p AS (
+        SELECT cps.ckpt, stream."user", stream.item
+        FROM stream JOIN cps ON stream.t <= cps.t
+        GROUP BY cps.ckpt, stream."user", stream.item
+        HAVING count(*) % 2 = 1),
+    n AS (SELECT ckpt, "user", count(*) AS n FROM p GROUP BY ckpt, "user"),
+    s AS (
+        SELECT a.ckpt, a."user" AS u, b."user" AS v, count(*) AS s
+        FROM p a JOIN p b ON a.ckpt = b.ckpt AND a.item = b.item AND a."user" < b."user"
+        GROUP BY a.ckpt, a."user", b."user")
+    SELECT pairs.u, pairs.v, cps.ckpt, coalesce(s.s, 0) AS s,
+           coalesce(nu.n, 0) AS n_u, coalesce(nv.n, 0) AS n_v
+    FROM pairs CROSS JOIN cps
+    LEFT JOIN s ON s.ckpt = cps.ckpt AND s.u = pairs.u AND s.v = pairs.v
+    LEFT JOIN n nu ON nu.ckpt = cps.ckpt AND nu."user" = pairs.u
+    LEFT JOIN n nv ON nv.ckpt = cps.ckpt AND nv."user" = pairs.v
 """
 
 
@@ -58,29 +79,6 @@ class TestCardinalities:
             assert card.get(u, 0) == s
 
 
-class TestPairCommons:
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
-        T = int(tiny_stream_pdf["t"].max())
-        t = T // 2
-        inner = PRESENT_SQL.format(where=f"WHERE t <= {t}")
-        assert_equivalent(
-            exact.pair_commons(tiny_stream_sdf, t),
-            f"""
-            SELECT a."user" AS u, b."user" AS v, COUNT(*) AS s
-            FROM ({inner}) a JOIN ({inner}) b
-              ON a.item = b.item AND a."user" < b."user"
-            GROUP BY a."user", b."user"
-            """,
-            stream=tiny_stream_pdf,
-        )
-
-    def test_user_filter(self, tiny_stream_sdf):
-        some = [1, 2, 3]
-        got = exact.pair_commons(tiny_stream_sdf, users=some).toPandas()
-        assert got["u"].isin(some).all() and got["v"].isin(some).all()
-        assert (got["u"] < got["v"]).all()
-
-
 class TestSelectTracked:
     def test_top_n_by_cardinality(self, tiny_stream_sdf, tiny_stream_pdf):
         users, pairs = exact.select_tracked(tiny_stream_sdf, 8)
@@ -102,6 +100,33 @@ class TestSelectTracked:
         assert (u1 == u2).all()
         assert p1.equals(p2)
 
+    @pytest.mark.parametrize("top_n", [5, 20])
+    def test_vs_duckdb(self, spark, tiny_stream_sdf, tiny_stream_pdf, top_n):
+        """Users: top-n by final parity cardinality, ties by user id;
+        pairs: those among them with s ≥ 1, int64 and sorted by (u, v)."""
+        users, pairs = exact.select_tracked(tiny_stream_sdf, top_n)
+        top = f"""
+            SELECT "user" FROM ({PRESENT_SQL.format(where="")})
+            GROUP BY "user" ORDER BY count(*) DESC, "user" LIMIT {top_n}
+        """
+        assert_equivalent(
+            spark.createDataFrame(pd.DataFrame({"user": users})), top, stream=tiny_stream_pdf
+        )
+        assert_equivalent(
+            spark.createDataFrame(pairs),
+            f"""
+            WITH p AS (
+                SELECT * FROM ({PRESENT_SQL.format(where="")})
+                WHERE "user" IN ({top}))
+            SELECT a."user" AS u, b."user" AS v, count(*) AS s_final
+            FROM p a JOIN p b ON a.item = b.item AND a."user" < b."user"
+            GROUP BY a."user", b."user"
+            """,
+            stream=tiny_stream_pdf,
+        )
+        assert (pairs.dtypes == np.int64).all()
+        assert pairs.equals(pairs.sort_values(["u", "v"]).reset_index(drop=True))
+
 
 class TestExactOverTime:
     @pytest.fixture(scope="class")
@@ -118,18 +143,38 @@ class TestExactOverTime:
         merged = final.merge(pairs, on=["u", "v"], validate="1:1")
         assert (merged["s"] == merged["s_final"]).all()
 
-    def test_midpoint_matches_spark_join(self, tiny_stream_sdf, tiny_stream_pdf, tracked):
+    def test_vs_duckdb(self, spark, tiny_stream_sdf, tiny_stream_pdf, tracked):
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
-        out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [T // 2])
-        spark_pairs = (
-            exact.pair_commons(tiny_stream_sdf, T // 2, users=users)
-            .toPandas()
-            .set_index(["u", "v"])["s"]
+        out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [T // 3, T // 2])
+        cols = ["u", "v", "ckpt", "s", "n_u", "n_v"]
+        assert_equivalent(
+            spark.createDataFrame(out[cols]),
+            TRUTH_SQL,
+            stream=tiny_stream_pdf,
+            pairs=pairs[["u", "v"]],
+            cps=pd.DataFrame({"ckpt": [0, 1], "t": [T // 3, T // 2]}),
         )
-        for _, row in out.iterrows():
-            expect = int(spark_pairs.get((row["u"], row["v"]), 0))
-            assert int(row["s"]) == expect
+
+    def test_rows_in_checkpoint_then_pairs_order(self, tiny_stream_sdf, tracked):
+        """Row ci·len(pairs) + r is pair r at checkpoint ci, for pairs in
+        any order."""
+        users, pairs = tracked
+        shuffled = pairs.sample(frac=1.0, random_state=3).reset_index(drop=True)
+        out = exact.exact_over_time(tiny_stream_sdf, users, shuffled, [1000, 1500, 2000])
+        assert len(out) == 3 * len(shuffled)
+        for ci in range(3):
+            rows = out.iloc[ci * len(shuffled) : (ci + 1) * len(shuffled)]
+            assert (rows["ckpt"] == ci).all()
+            assert (rows["u"].to_numpy() == shuffled["u"].to_numpy()).all()
+            assert (rows["v"].to_numpy() == shuffled["v"].to_numpy()).all()
+
+    def test_users_in_any_order(self, tiny_stream_sdf, tracked):
+        users, pairs = tracked
+        cps = [1000, 2000]
+        expect = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
+        got = exact.exact_over_time(tiny_stream_sdf, users[::-1].copy(), pairs, cps)
+        pd.testing.assert_frame_equal(got, expect)
 
     def test_cardinalities_match(self, tiny_stream_sdf, tiny_stream_pdf, tracked):
         users, pairs = tracked
@@ -145,3 +190,57 @@ class TestExactOverTime:
         out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [1000, 2000])
         expect = out["s"] / (out["n_u"] + out["n_v"] - out["s"]).clip(lower=1)
         np.testing.assert_allclose(out["j"], expect.where(out["s"] > 0, 0.0), atol=1e-9)
+
+
+class TestDegenerateInputs:
+    """Edge cases of the tracked-user overlap computation: each must give
+    zeros or empty results, not crash."""
+
+    def test_checkpoint_before_first_edge(self, tiny_stream_sdf, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_sdf, 5)
+        before = int(tiny_stream_pdf["t"].min()) - 1
+        out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [before])
+        assert len(out) == len(pairs) > 0
+        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
+        assert (out["j"] == 0.0).all()
+
+    def test_tracked_user_without_edges(self, tiny_stream_sdf, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_sdf, 5)
+        T = int(tiny_stream_pdf["t"].max())
+        ghost = int(tiny_stream_pdf["user"].max()) + 1
+        extra = pd.DataFrame({"u": users, "v": ghost})
+        both = pd.concat([pairs[["u", "v"]], extra], ignore_index=True)
+        out = exact.exact_over_time(tiny_stream_sdf, np.r_[users, ghost], both, [T])
+        tracked, ghosts = out.iloc[: len(pairs)], out.iloc[len(pairs) :]
+        assert (tracked["s"].to_numpy() == pairs["s_final"].to_numpy()).all()
+        assert (ghosts[["s", "n_v"]] == 0).all().all()
+        assert (ghosts["n_u"] > 0).all() and (ghosts["j"] == 0.0).all()
+
+    def test_no_tracked_item(self, tiny_stream_sdf, tiny_stream_pdf):
+        """No tracked user has an edge: the aggregation is empty."""
+        ghosts = int(tiny_stream_pdf["user"].max()) + np.arange(1, 4)
+        pairs = pd.DataFrame({"u": ghosts[:2], "v": ghosts[1:]})
+        out = exact.exact_over_time(tiny_stream_sdf, ghosts, pairs, [100, 2000])
+        assert len(out) == 4
+        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
+        assert (out["j"] == 0.0).all()
+
+    def test_empty_stream(self, tiny_stream_sdf):
+        users, pairs = exact.select_tracked(tiny_stream_sdf.limit(0), 5)
+        assert len(users) == 0 and users.dtype == np.int64
+        assert len(pairs) == 0 and list(pairs.columns) == ["u", "v", "s_final"]
+
+    def test_no_shared_item(self, spark):
+        """Tracked users with disjoint sets give an empty, typed pairs frame."""
+        stream = pd.DataFrame(
+            {
+                "t": [1, 2, 3, 4, 5, 6],
+                "user": [1, 2, 3, 1, 2, 1],
+                "item": [10, 20, 30, 11, 21, 11],
+                "action": [1, 1, 1, 1, 1, -1],
+            }
+        )
+        users, pairs = exact.select_tracked(generator.to_spark(spark, stream), 3)
+        assert users.tolist() == [1, 2, 3]
+        assert pairs.empty and list(pairs.columns) == ["u", "v", "s_final"]
+        assert (pairs.dtypes == np.int64).all()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import exact
 from repro.eval import harness
 
 
@@ -72,27 +73,20 @@ class TestEstimateHelpers:
 
         users = np.array([3, 7, 9])
         pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
-        iu, iv = harness._pair_indices(users, pairs)
+        iu, iv = exact.pair_indices(users, pairs)
         assert (iu == [0, 1]).all() and (iv == [2, 2]).all()
+        iu, iv = exact.pair_indices(users[::-1], pairs)
+        assert (iu == [2, 1]).all() and (iv == [0, 0]).all()
 
-    def test_pair_counts_align_with_pairs(self):
+    @pytest.mark.parametrize("missing", [5, 10, 1])
+    def test_pair_indices_unknown_user_raises(self, missing):
+        """A user between, after or before the tracked ids is an error,
+        not another user's row."""
         import pandas as pd
 
-        pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
-        # truth rows in an order unrelated to pairs
-        truth = pd.DataFrame(
-            {
-                "u": [7, 3, 3, 7],
-                "v": [9, 9, 9, 9],
-                "ckpt": [1, 0, 1, 0],
-                "n_u": [40, 10, 30, 20],
-                "n_v": [41, 11, 31, 21],
-            }
-        )
-        n_u, n_v = harness._pair_counts(truth, pairs, 2)
-        assert n_u.dtype == np.float64 and n_u.shape == (2, 2)
-        assert (n_u == [[10, 20], [30, 40]]).all()
-        assert (n_v == [[11, 21], [31, 41]]).all()
+        pairs = pd.DataFrame({"u": [3, missing], "v": [9, 9]})
+        with pytest.raises(ValueError):
+            exact.pair_indices(np.array([3, 7, 9]), pairs)
 
 
 class TestEstimateVos:
@@ -104,7 +98,6 @@ class TestEstimateVos:
 
         import pandas as pd
 
-        from repro.baselines import exact
         from repro.core import estimator, vos
 
         params = vos.VOSParams(k=64, m=2048, seed=7)
@@ -119,16 +112,20 @@ class TestEstimateVos:
         T = int(tiny_stream_pdf["t"].max())
         cps = [T // 3, T]
         truth = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
-        n_u, n_v = harness._pair_counts(truth, pairs, len(cps))
+        n_u, n_v = (
+            truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs)) for c in ("n_u", "n_v")
+        )
 
-        got = harness.estimate_vos(tiny_stream_sdf, users, pairs, n_u, n_v, cps, params)
+        s_hat, j_hat = harness.estimate_vos(tiny_stream_sdf, users, pairs, n_u, n_v, cps, params)
 
         A, betas = vos.build_bit_arrays(tiny_stream_sdf, params, cps)
-        iu, iv = harness._pair_indices(users, pairs)
-        per_ckpt = []
+        iu, iv = exact.pair_indices(users, pairs)
+        assert s_hat.shape == j_hat.shape == (len(cps), len(pairs))
         for ci in range(len(cps)):
             sk = vos.rebuild_user_sketches(users, A[ci], params)
             alpha = estimator.pair_alpha(sk[iu], sk[iv])
-            s_hat = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
-            per_ckpt.append((s_hat, estimator.jaccard_from_common(s_hat, n_u[ci], n_v[ci])))
-        pd.testing.assert_frame_equal(got, harness._estimates_frame(pairs, per_ckpt))
+            expect = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
+            np.testing.assert_array_equal(s_hat[ci], expect)
+            np.testing.assert_array_equal(
+                j_hat[ci], estimator.jaccard_from_common(expect, n_u[ci], n_v[ci])
+            )
