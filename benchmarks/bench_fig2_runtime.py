@@ -45,10 +45,7 @@ def test_fig2_tables(benchmark, capsys):
     table.to_csv(RESULTS / "fig2_runtime.csv", index=False)
     wide = table.pivot(index="k", columns="method", values="us_per_edge")
     with capsys.disabled():
-        print("\n\nTable F2a — per-edge update time (us) vs k [youtube]:")
-        print(wide.round(2).to_string())
-        print(f"\nTable F2b — per-edge update time (us) at k={max(KS)}:")
-        print(wide.loc[max(KS)].round(2).to_string())
+        print("\n" + runtime.fig2_tables(table, "youtube"))
     # the paper's complexity shape must hold in the recorded numbers:
     # VOS/OPH flat in k, MinHash/RP growing ~linearly
     for flat in ("vos", "oph"):

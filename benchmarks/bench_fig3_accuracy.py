@@ -58,18 +58,9 @@ def test_fig3_tables(benchmark, spark, capsys):
     )
     RESULTS.mkdir(exist_ok=True)
     full.to_csv(RESULTS / "fig3_accuracy.csv", index=False)
-    first = full[full["dataset"] == "youtube"]
     last = full[full["ckpt"] == full.groupby("dataset")["ckpt"].transform("max")]
     with capsys.disabled():
-        pd.set_option("display.width", 200)
-        print("\n\nTable F3a — AAPE of s over time [youtube]:")
-        print(first.pivot(index="t", columns="method", values="aape").round(3).to_string())
-        print("\nTable F3b — AAPE at final time, all datasets:")
-        print(last.pivot(index="dataset", columns="method", values="aape").round(3).to_string())
-        print("\nTable F3c — ARMSE of J over time [youtube]:")
-        print(first.pivot(index="t", columns="method", values="armse").round(4).to_string())
-        print("\nTable F3d — ARMSE at final time, all datasets:")
-        print(last.pivot(index="dataset", columns="method", values="armse").round(4).to_string())
+        print("\n" + harness.fig3_tables(full))
     # cross-dataset shape: VOS best everywhere at final time
     pivot = last.pivot(index="dataset", columns="method", values="aape")
     assert (pivot["vos"] <= pivot.min(axis=1) + 1e-12).all()

@@ -32,13 +32,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "fig2_runtime.csv", index=False)
 
-    wide = table.pivot(index="k", columns="method", values="us_per_edge")
-    print("\nTable F2a — per-edge update time (us) vs k "
-          f"[dataset={args.dataset}]:\n")
-    print(wide.round(2).to_string())
-    kmax = max(ks)
-    print(f"\nTable F2b — per-edge update time (us) at k={kmax}:\n")
-    print(wide.loc[kmax].round(2).to_string())
+    print(runtime.fig2_tables(table, args.dataset))
     return 0
 
 

@@ -55,18 +55,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     full.to_csv(out / "fig3_accuracy.csv", index=False)
 
-    first = full[full["dataset"] == names[0]]
-    pd.set_option("display.width", 200)
-    print(f"\nTable F3a — AAPE of s over time [{names[0]}]:\n")
-    print(first.pivot(index="t", columns="method", values="aape").round(3).to_string())
-    print(f"\nTable F3c — ARMSE of J over time [{names[0]}]:\n")
-    print(first.pivot(index="t", columns="method", values="armse").round(4).to_string())
-
-    last = full[full["ckpt"] == full.groupby("dataset")["ckpt"].transform("max")]
-    print("\nTable F3b — AAPE of s at final time, all datasets:\n")
-    print(last.pivot(index="dataset", columns="method", values="aape").round(3).to_string())
-    print("\nTable F3d — ARMSE of J at final time, all datasets:\n")
-    print(last.pivot(index="dataset", columns="method", values="armse").round(4).to_string())
+    print(harness.fig3_tables(full))
     return 0
 
 

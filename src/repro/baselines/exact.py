@@ -8,7 +8,8 @@ parity rule:
 * ``present`` / ``cardinalities`` — Spark DataFrame computations (one
   parity aggregation).
 * ``select_tracked`` — the paper's §V selection: users with the largest
-  final cardinalities, pairs among them sharing ≥ 1 item at the end.
+  final cardinalities (the top-n is taken in Spark, so only the chosen
+  users reach the driver), pairs among them sharing ≥ 1 item at the end.
 * ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the
   tracked pairs at every checkpoint.
 
@@ -100,9 +101,8 @@ def select_tracked(
     when the whole stream has arrived. Ties broken by user id for
     determinism.
     """
-    card = cardinalities(edges).toPandas()
-    card = card.sort_values(["n", "user"], ascending=[False, True])
-    users = np.sort(card["user"].to_numpy(np.int64)[:top_n])
+    top = cardinalities(edges).orderBy(F.desc("n"), "user").limit(top_n).toPandas()
+    users = np.sort(top["user"].to_numpy(np.int64))
     _, S = _overlaps(edges, users, [F.count(F.lit(1))])
     iu, iv = np.triu_indices(len(users), 1)
     s = S[0, iu, iv]

@@ -147,3 +147,23 @@ def run_accuracy(
         return pd.DataFrame(rows).sort_values(["method", "ckpt"]).reset_index(drop=True)
     finally:
         edges.unpersist()
+
+
+def fig3_tables(full: pd.DataFrame) -> str:
+    """Tables F3a–F3d from concatenated ``run_accuracy`` frames: AAPE of ŝ
+    and ARMSE of Ĵ over time on the first dataset, then both at final
+    time on every dataset."""
+    name = full["dataset"].iloc[0]
+    first = full[full["dataset"] == name]
+    last = full[full["ckpt"] == full.groupby("dataset")["ckpt"].transform("max")]
+    tables = [
+        (f"F3a — AAPE of s over time [{name}]", first, "t", "aape", 3),
+        (f"F3c — ARMSE of J over time [{name}]", first, "t", "armse", 4),
+        ("F3b — AAPE of s at final time, all datasets", last, "dataset", "aape", 3),
+        ("F3d — ARMSE of J at final time, all datasets", last, "dataset", "armse", 4),
+    ]
+    return "\n".join(
+        f"\nTable {title}:\n\n"
+        f"{frame.pivot(index=index, columns='method', values=col).round(digits).to_string()}"
+        for title, frame, index, col, digits in tables
+    )

@@ -113,3 +113,16 @@ def runtime_sweep(
     """Fig 2(a) table: per-edge update time for every (method, k)."""
     rows = [time_method(m, int(k), dataset=dataset, seed=seed) for m in methods for k in ks]
     return pd.DataFrame(rows)
+
+
+def fig2_tables(table: pd.DataFrame, dataset: str) -> str:
+    """Tables F2a/F2b from a ``runtime_sweep`` frame: per-edge update time
+    for every (k, method), then at the largest k."""
+    wide = table.pivot(index="k", columns="method", values="us_per_edge")
+    kmax = wide.index.max()
+    return (
+        f"\nTable F2a — per-edge update time (us) vs k [dataset={dataset}]:\n\n"
+        f"{wide.round(2).to_string()}\n"
+        f"\nTable F2b — per-edge update time (us) at k={kmax}:\n\n"
+        f"{wide.loc[kmax].round(2).to_string()}"
+    )

@@ -63,7 +63,6 @@ def bipartite_edges(
     wi = zipf_weights(n_items, alpha_item)
     users = np.empty(0, dtype=np.int64)
     items = np.empty(0, dtype=np.int64)
-    seen: set[int] = set()
     want = n_edges
     for _ in range(64):  # vectorised rejection rounds; converges fast
         if want <= 0:
@@ -72,21 +71,13 @@ def bipartite_edges(
         bu = g.choice(n_users, size=batch, p=wu).astype(np.int64) + 1
         bi = g.choice(n_items, size=batch, p=wi).astype(np.int64) + 1
         key = bu * np.int64(1 << 32) + bi
-        keep = np.empty(batch, dtype=bool)
-        for idx, kv in enumerate(key):
-            k = int(kv)
-            if k in seen:
-                keep[idx] = False
-            else:
-                seen.add(k)
-                keep[idx] = True
-        bu, bi = bu[keep], bi[keep]
-        take = min(want, bu.size)
-        users = np.concatenate([users, bu[:take]])
-        items = np.concatenate([items, bi[:take]])
-        # drop keys we sampled but did not take, so they stay available
-        for kv in (bu[take:] * np.int64(1 << 32) + bi[take:]):
-            seen.discard(int(kv))
+        # keep each key's first draw in this round, unless already taken
+        keep = np.zeros(batch, dtype=bool)
+        keep[np.unique(key, return_index=True)[1]] = True
+        keep &= ~np.isin(key, users * np.int64(1 << 32) + items)
+        new = np.flatnonzero(keep)[:want]
+        users = np.concatenate([users, bu[new]])
+        items = np.concatenate([items, bi[new]])
         want = n_edges - users.size
     if users.size < n_edges:
         raise ValueError(

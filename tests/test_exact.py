@@ -127,6 +127,31 @@ class TestSelectTracked:
         assert (pairs.dtypes == np.int64).all()
         assert pairs.equals(pairs.sort_values(["u", "v"]).reset_index(drop=True))
 
+    @pytest.mark.parametrize("top_n,expect", [(3, [1, 3, 5]), (10, [1, 3, 5, 7, 9])])
+    def test_ties_and_emptied_user(self, spark, top_n, expect):
+        """Users 3, 5 and 7 tie on |S| = 2 across the cut at top_n = 3, so
+        the lowest ids win. Deletions empty user 2's set: a top_n above
+        the five non-empty users must still not return it."""
+        events = [
+            (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (1, 2, 1), (7, 3, 1),
+            (2, 3, 1), (5, 2, 1), (1, 3, 1), (2, 1, -1), (3, 5, 1), (5, 5, 1),
+            (2, 2, -1), (7, 6, 1), (1, 4, 1), (9, 7, 1), (2, 3, -1),
+        ]  # (user, item, action)
+        stream = pd.DataFrame(events, columns=["user", "item", "action"])
+        stream.insert(0, "t", np.arange(1, len(stream) + 1))
+        final = generator.net_state(stream)
+        card = final.groupby("user").size()
+        assert card.to_dict() == {1: 4, 3: 2, 5: 2, 7: 2, 9: 1}
+
+        users, pairs = exact.select_tracked(generator.to_spark(spark, stream), top_n)
+        assert users.tolist() == expect
+        mine = final[final["user"].isin(expect)]
+        both = mine.merge(mine, on="item")
+        both = both[both["user_x"] < both["user_y"]]
+        want = both.groupby(["user_x", "user_y"]).size().reset_index()
+        want.columns = ["u", "v", "s_final"]
+        pd.testing.assert_frame_equal(pairs, want)
+
 
 class TestExactOverTime:
     @pytest.fixture(scope="class")
