@@ -10,10 +10,9 @@ workflow of the paper.
 Usage: spark-submit jobs/stream_demo.py [--dataset tiny] [--batches 5]
 """
 import argparse
+import os
 import sys
 import tempfile
-
-import numpy as np
 
 
 def main(argv=None) -> int:
@@ -50,11 +49,10 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         indir, ckdir = f"{tmp}/in", f"{tmp}/ck"
-        import os
-
         os.makedirs(indir)
         query = streaming.start_query(spark, indir, ckdir, params, query_name="vos_demo")
         cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
+        truths = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], cuts)
         lo = 0
         for bi, hi in enumerate(cuts):
             chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
@@ -70,9 +68,9 @@ def main(argv=None) -> int:
                 f"state_bytes={state.memoryUsedBytes}"
             )
             A, beta = streaming.assemble_bit_array(spark, "vos_demo", params)
-            truth = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], [hi]).iloc[0]
+            truth = truths.iloc[bi]
             sk = vos.rebuild_user_sketches([u, v], A, params)
-            alpha = float(np.mean(sk[0] != sk[1]))
+            alpha = float(estimator.pair_alpha(sk[0], sk[1]))
             s_hat = float(
                 estimator.estimate_common(truth["n_u"], truth["n_v"], alpha, beta, params.k)
             )

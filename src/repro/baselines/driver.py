@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from . import minhash, oph, rp
+from .replay import EMPTY
 
 SNAPSHOT_SCHEMA = T.StructType(
     [
@@ -94,7 +95,7 @@ def sketch_snapshots(
     # Users with no edges at all still need (empty) snapshots.
     missing = sorted(set(user_list) - set(out["user"].unique()))
     if missing:
-        empty = np.full(k, -1, dtype=np.int64).tolist()
+        empty = np.full(k, EMPTY, dtype=np.int64).tolist()
         out = pd.concat(
             [out]
             + [

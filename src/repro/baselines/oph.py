@@ -16,10 +16,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
-from .replay import replay_steps
-
-EMPTY = np.int64(-1)
-_MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
+from .replay import _MAXH, EMPTY, replay_steps
 
 
 class OPHKernel:

@@ -12,6 +12,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+# Register sentinels of the baseline kernels: an empty register's item,
+# and the hash an empty MinHash/OPH register compares against.
+EMPTY = np.int64(-1)
+_MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 
 def replay_steps(
     step: Callable[..., None],

@@ -25,9 +25,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
-from .replay import replay_steps
-
-EMPTY = np.int64(-1)
+from .replay import EMPTY, replay_steps
 
 
 class RPKernel:

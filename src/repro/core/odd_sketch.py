@@ -8,7 +8,9 @@ hashing to bit j. Two properties the paper builds on, both tested:
   the *net* set only — the key to handling fully dynamic streams;
 * ``O(S_u) ⊕ O(S_v) = O(S_u Δ S_v)``, and the expected fraction of
   1-bits in that xor is ``(1 − (1−2/k)^{|S_u Δ S_v|})/2``, inverted to
-  estimate the symmetric-difference size.
+  estimate the symmetric-difference size. That inversion is
+  ``estimator.estimate_n_delta`` at β = 0: a clean odd sketch is a VOS
+  sketch with no contamination.
 
 VOS (``vos.py``) virtualises this sketch into a shared bit array; this
 module is the uncontaminated reference the VOS tests compare against.
@@ -28,15 +30,3 @@ def odd_sketch(items, k: int, seed: int) -> np.ndarray:
     j = hashing.psi(it, k, seed)
     return (np.bincount(j, minlength=k) % 2).astype(np.uint8)
 
-
-def estimate_symmetric_difference(alpha: np.ndarray | float, k: int) -> np.ndarray:
-    """Invert E[α] = (1 − (1−2/k)^{nΔ})/2 ≈ (1 − e^{−2nΔ/k})/2.
-
-    ``alpha`` is the fraction of 1-bits in O(S_u) ⊕ O(S_v). Uses the
-    exponential approximation exactly as the paper does; |·| and an eps
-    floor guard α ≥ 1/2 (sketch saturated — nΔ ≳ k, outside the sketch's
-    designed range).
-    """
-    a = np.asarray(alpha, dtype=np.float64)
-    inner = np.maximum(np.abs(1.0 - 2.0 * a), 1e-12)
-    return -k * np.log(inner) / 2.0

@@ -17,11 +17,13 @@ stateful stage runs no Python. The result is bit-exact equal to the
 sequential algorithm regardless of how the engine batches or orders
 events.
 
-Output. In ``update`` mode each micro-batch writes (pos, flips) for the
-positions it touched to a memory sink. A position's count only grows,
-so its largest count in the sink is its latest; ``assemble_bit_array``
-folds the sink into A[pos] = flips & 1 and β = A.mean(), the 1-bit
-fraction the paper's running β counter tracks.
+Output. In ``complete`` mode each micro-batch rewrites the memory sink
+with the whole state, one (pos, flips) row per touched position, so the
+sink is the state and not its history. ``assemble_bit_array`` scatters
+it into A[pos] = flips & 1 and β = A.mean(), the 1-bit fraction the
+paper's running β counter tracks. Complete mode is also the one in which
+the memory sink recovers from its checkpoint, so a stopped query can be
+started again on the same checkpoint and resumes where it stopped.
 """
 from __future__ import annotations
 
@@ -47,8 +49,12 @@ def start_query(
     New parquet files dropped into ``input_dir`` (STREAM_SCHEMA rows)
     update the per-position flip counts; call
     ``query.processAllAvailable()`` to drain, then
-    ``assemble_bit_array`` to materialise (A, β). ``n_buckets`` has no
-    effect; it is accepted so existing callers keep working.
+    ``assemble_bit_array`` to materialise (A, β). Started again with the
+    same ``checkpoint_dir`` and ``query_name`` after a stop, the query
+    resumes from its checkpoint and reads only files it has not seen.
+    The restarted sink is empty until the first new micro-batch refills
+    it with the whole state. ``n_buckets`` has no effect; it is accepted
+    so existing callers keep working.
     """
     edges = spark.readStream.schema(STREAM_SCHEMA).parquet(input_dir)
     flips = (
@@ -59,7 +65,7 @@ def start_query(
     return (
         flips.writeStream.format("memory")
         .queryName(query_name)
-        .outputMode("update")
+        .outputMode("complete")
         .option("checkpointLocation", checkpoint_dir)
         .start()
     )
@@ -68,10 +74,10 @@ def start_query(
 def assemble_bit_array(
     spark: SparkSession, query_name: str, params: vos.VOSParams, n_buckets: int = 64
 ) -> tuple[np.ndarray, float]:
-    """Fold the memory-sink rows into (A, β): the largest flip count per
-    position is its latest, and A[pos] is its parity. ``n_buckets`` has
-    no effect; it is accepted so existing callers keep working."""
-    latest = spark.table(query_name).toPandas().groupby("pos")["flips"].max()
+    """Scatter the memory sink, one (pos, flips) row per touched position,
+    into (A, β) with A[pos] = flips & 1. ``n_buckets`` has no effect; it
+    is accepted so existing callers keep working."""
+    sink = spark.table(query_name).toPandas()
     A = np.zeros(params.m, dtype=np.uint8)
-    A[latest.index.to_numpy(np.int64)] = latest.to_numpy(np.int64) & 1
+    A[sink["pos"].to_numpy(np.int64)] = sink["flips"].to_numpy(np.int64) & 1
     return A, float(A.mean())

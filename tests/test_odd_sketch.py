@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import odd_sketch
+from repro.core import estimator, odd_sketch
 
 
 class TestOddSketch:
@@ -52,17 +52,19 @@ class TestOddSketch:
 
 
 class TestSymmetricDifferenceEstimator:
+    """The production estimator at β = 0, on clean odd sketches."""
+
     def test_zero_alpha_means_zero(self):
-        assert odd_sketch.estimate_symmetric_difference(0.0, 100) == 0.0
+        assert estimator.estimate_n_delta(0.0, 0.0, 100) == 0.0
 
     def test_monotone_in_alpha(self):
         k = 256
         alphas = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
-        est = odd_sketch.estimate_symmetric_difference(alphas, k)
+        est = estimator.estimate_n_delta(alphas, 0.0, k)
         assert (np.diff(est) > 0).all()
 
     def test_saturated_alpha_is_finite(self):
-        est = odd_sketch.estimate_symmetric_difference(0.5, 100)
+        est = estimator.estimate_n_delta(0.5, 0.0, 100)
         assert np.isfinite(est)
 
     @pytest.mark.parametrize("n_delta", [5, 20, 80])
@@ -77,7 +79,7 @@ class TestSymmetricDifferenceEstimator:
             o1 = odd_sketch.odd_sketch(s1, k, seed)
             o2 = odd_sketch.odd_sketch(s2, k, seed)
             alpha = (o1 ^ o2).mean()
-            ests.append(odd_sketch.estimate_symmetric_difference(alpha, k))
+            ests.append(estimator.estimate_n_delta(alpha, 0.0, k))
         mean_est = np.mean(ests)
         assert abs(mean_est - 2 * n_delta) / (2 * n_delta) < 0.15
 
