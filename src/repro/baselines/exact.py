@@ -5,18 +5,19 @@ of (u, i, ·) elements with arrival ≤ t is odd (insertions and deletions
 of an edge strictly alternate). Every exact quantity derives from that
 parity rule:
 
-* ``present`` / ``cardinalities`` — Spark DataFrame computations (one
-  parity aggregation).
+* ``present`` / ``cardinalities`` — the final state as Spark DataFrames
+  (one parity aggregation).
 * ``select_tracked`` — the paper's §V selection: users with the largest
   final cardinalities (the top-n is taken in Spark, so only the chosen
   users reach the driver), pairs among them sharing ≥ 1 item at the end.
 * ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the
   tracked pairs at every checkpoint.
 
-Both tracked-user functions run one Spark aggregation of the tracked
-users' per-(user, item) occurrence counts and compute every pair
-overlap on the driver as a membership-matrix product (``_overlaps``):
-tracked users are a few dozen, their distinct items a few thousand.
+Both tracked-user functions collect the tracked users' raw (user, item,
+t) rows with a narrow filter, take every checkpoint's membership with
+``prefix.prefix_parity`` and compute every pair overlap on the driver as
+a membership-matrix product (``_overlaps``): tracked users are a few
+dozen, their distinct items a few thousand.
 The DuckDB oracle cross-checks all four functions in the tests.
 """
 from __future__ import annotations
@@ -25,27 +26,26 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..common import prefix
 from ..core import estimator
 
 
-def present(edges: DataFrame, t: int | None = None) -> DataFrame:
-    """Edges present at time t (columns user, item) via occurrence parity."""
-    df = edges if t is None else edges.where(F.col("t") <= int(t))
+def present(edges: DataFrame) -> DataFrame:
+    """Edges present at the stream end (columns user, item) via parity."""
     return (
-        df.groupBy("user", "item")
+        edges.groupBy("user", "item")
         .agg(F.count(F.lit(1)).alias("cnt"))
         .where(F.col("cnt") % 2 == 1)
         .select("user", "item")
     )
 
 
-def cardinalities(edges: DataFrame, t: int | None = None) -> DataFrame:
-    """|S_u| at time t, one row per user with a non-empty set."""
-    return present(edges, t).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
+def cardinalities(edges: DataFrame) -> DataFrame:
+    """|S_u| at the stream end, one row per user with a non-empty set."""
+    return present(edges).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
 
 
 def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -60,32 +60,28 @@ def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlaps(
-    edges: DataFrame, users, counts: Sequence[Column]
+    edges: DataFrame, users, checkpoints: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact n and S of the tracked ``users``, one slice per count column.
+    """Exact n and S of the tracked ``users``, one slice per checkpoint.
 
-    ``counts`` are per-(user, item) occurrence-count aggregates, one per
-    checkpoint; one Spark aggregation computes them over the tracked
-    users' edges. On the driver, M[c, u, i] = 1 iff user u's count of
-    item i is odd at checkpoint c, over the tracked users × their
-    distinct items. Returns int64 ``n = M.sum(-1)``, shape (n_ckpt,
-    n_users), and ``S = M @ Mᵀ``, shape (n_ckpt, n_users, n_users), with
-    rows in the order of ``users``.
+    One narrow Spark query collects the tracked users' raw (user, item,
+    t) rows. On the driver, M[c, u, i] = 1 iff user u's occurrence count
+    of item i is odd at checkpoint c (``prefix.prefix_parity`` over the
+    cell index u·n_items + i), over the tracked users × their distinct
+    items. Returns int64 ``n = M.sum(-1)``, shape (n_ckpt, n_users), and
+    ``S = M @ Mᵀ``, shape (n_ckpt, n_users, n_users), with rows in the
+    order of ``users``.
     """
     users = np.asarray(users, dtype=np.int64)
-    wide = (
-        edges.where(F.col("user").isin(users.tolist()))
-        .groupBy("user", "item")
-        .agg(*counts)
-        .toPandas()
-    )
-    rows = pd.Index(users).get_indexer(wide["user"].to_numpy(np.int64))
-    cols, items = pd.factorize(wide["item"])
-    odd = wide.iloc[:, 2:].to_numpy(np.int64).T % 2
+    raw = edges.where(F.col("user").isin(users.tolist())).select("user", "item", "t").toPandas()
+    rows = pd.Index(users).get_indexer(raw["user"].to_numpy(np.int64))
+    cols, items = pd.factorize(raw["item"])
+    cells, odd = prefix.prefix_parity(rows * len(items) + cols, raw["t"], checkpoints)
     # float64 so the product runs in BLAS; sums of 0/1 stay exact far
     # beyond any item count here (< 2^53).
-    M = np.zeros((len(counts), len(users), len(items)))
-    M[:, rows, cols] = odd
+    M = np.zeros((len(checkpoints), len(users) * len(items)))
+    M[:, cells] = odd
+    M = M.reshape(len(checkpoints), len(users), len(items))
     S = M @ M.transpose(0, 2, 1)
     return M.sum(-1).astype(np.int64), S.astype(np.int64)
 
@@ -103,7 +99,7 @@ def select_tracked(
     """
     top = cardinalities(edges).orderBy(F.desc("n"), "user").limit(top_n).toPandas()
     users = np.sort(top["user"].to_numpy(np.int64))
-    _, S = _overlaps(edges, users, [F.count(F.lit(1))])
+    _, S = _overlaps(edges, users, [np.iinfo(np.int64).max])
     iu, iv = np.triu_indices(len(users), 1)
     s = S[0, iu, iv]
     keep = s > 0
@@ -124,7 +120,7 @@ def exact_over_time(
     is pair ``r`` at checkpoint ``ci``, so each column reshapes to
     (n_checkpoints, n_pairs).
     """
-    n, S = _overlaps(edges, users, prefix.prefix_sums(checkpoints))
+    n, S = _overlaps(edges, users, checkpoints)
     iu, iv = pair_indices(users, pairs)
     n_ckpt = len(checkpoints)
     out = pd.DataFrame(

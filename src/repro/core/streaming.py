@@ -8,7 +8,7 @@ be queryable at any time.
 Every edge flips one bit, A[f_ψ(item)(user)], and flips commute, so A at
 any time is the parity of the number of flips each position has seen —
 the same argument the paper makes for order-independence of A, and the
-one the batch build uses (``groupBy(pos).count() % 2``). The stream is
+one the batch build uses (``prefix.prefix_parity``). The stream is
 hashed to positions with the same ``pandas_udf`` the batch build uses
 and fed through Spark's built-in streaming ``groupBy("pos").count()``:
 its state is one row per touched position holding that position's flip

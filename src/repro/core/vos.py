@@ -8,17 +8,17 @@ on fully dynamic streams.
 
 Because xor is commutative and associative, the state of A at time t is
 the *parity of the flip count per position* over all edges with
-arrival ≤ t. That makes the sequential per-edge definition expressible
-as a Catalyst aggregation — ``groupBy(pos).count() % 2`` — which is how
-``build_bit_arrays`` builds A (for many checkpoints in a single pass
-using conditional sums). The estimator reads only β and the tracked
-users' bits Ô_u[j] = A[f_j(u)], so the build counts the 1-bits on the
-executors and, given the positions it should return, sends the driver
-bits at those positions only: the bytes collected scale with tracked
-users × k, not with m. ``VOSKernel`` is the paper's sequential O(1)
-update loop, used for the runtime experiment (Fig 2) and as the
-reference the distributed builds are tested against; the Structured
-Streaming operator lives in ``streaming.py``.
+arrival ≤ t. So ``build_bit_arrays`` only routes each edge's (pos, t)
+to the partition that owns its position, and there
+``prefix.prefix_parity`` gives A at every checkpoint in one pass. The
+estimator reads only β and the tracked users' bits Ô_u[j] = A[f_j(u)],
+so the build counts the 1-bits on the executors and, given the
+positions it should return, sends the driver bits at those positions
+only: the bytes collected scale with tracked users × k, not with m.
+``VOSKernel`` is the paper's sequential O(1) update loop, used for the
+runtime experiment (Fig 2) and as the reference the distributed builds
+are tested against; the Structured Streaming operator lives in
+``streaming.py``.
 """
 from __future__ import annotations
 
@@ -83,15 +83,17 @@ def build_bit_arrays(
     sorted array of unique positions) is given, A at those positions
     only, (n_checkpoints, len(at)).
 
-    One shuffle: groupBy position with one conditional flip-count per
-    checkpoint. A narrow ``mapInPandas`` step after it takes parities on
-    the executors, counts each partition's 1-bits per checkpoint, and
-    emits that partial count plus the rows that have a 1-bit at a
-    requested position (any position when ``at`` is None). The driver
-    sums the partials into β and receives no other position, so with
-    ``at`` it never allocates an m-sized array.
+    One shuffle routes each edge's (pos, t) by position. A
+    ``mapInPandas`` step after it takes every checkpoint's parities of its
+    partition's positions with ``prefix.prefix_parity``, counts the
+    partition's 1-bits per checkpoint, and emits that partial count plus
+    the rows that have a 1-bit at a requested position (any position
+    when ``at`` is None). The driver sums the partials into β and
+    receives no other position, so with ``at`` it never allocates an
+    m-sized array. Raises ``ValueError`` if the checkpoints decrease.
     """
     cps = [int(c) for c in checkpoints]
+    prefix.prefix_parity([], [], cps)  # reject decreasing checkpoints before any Spark job
     keep = None if at is None else np.asarray(at, dtype=np.int64)
     if keep is not None and (keep.ndim != 1 or np.any(np.diff(keep) <= 0)):
         raise ValueError("at must be a sorted 1-D array of unique positions")
@@ -101,24 +103,23 @@ def build_bit_arrays(
     )
 
     def emit(batches):
-        # Rows with pos = -1 carry this partition's 1-bit count per checkpoint.
-        ones = np.zeros(len(cps), dtype=np.int64)
-        for pdf in batches:
-            bits = pdf[cols].to_numpy(np.int64) & 1
-            ones += bits.sum(axis=0)
-            pos = pdf["pos"].to_numpy(np.int64)
-            hit = bits.any(axis=1)
-            if keep is not None:
-                hit &= np.searchsorted(keep, pos, "left") != np.searchsorted(keep, pos, "right")
-            out = pd.DataFrame(bits[hit], columns=cols)
-            out.insert(0, "pos", pos[hit])
-            yield out
-        yield pd.DataFrame([[-1, *ones]], columns=["pos", *cols])
+        pos_t = np.concatenate(
+            [np.empty((0, 2), np.int64), *(pdf.to_numpy(np.int64) for pdf in batches)]
+        )
+        pos, bits = prefix.prefix_parity(pos_t[:, 0], pos_t[:, 1], cps)
+        hit = bits.any(axis=0)
+        if keep is not None:
+            hit &= np.isin(pos, keep)
+        out = pd.DataFrame(bits[:, hit].T, columns=cols)
+        out.insert(0, "pos", pos[hit])
+        yield out
+        # A row with pos = -1 carries this partition's 1-bit count per checkpoint.
+        yield pd.DataFrame([[-1, *bits.sum(axis=1)]], columns=["pos", *cols])
 
     rows = (
         with_positions(edges, params)
-        .groupBy("pos")
-        .agg(*prefix.prefix_sums(cps))
+        .select("pos", "t")
+        .repartition("pos")  # every row of a position lands in one partition
         .mapInPandas(emit, schema)
         .toPandas()
     )

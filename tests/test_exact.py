@@ -11,7 +11,7 @@ from repro.streams import generator
 
 PRESENT_SQL = """
     SELECT "user", item FROM (
-        SELECT "user", item, COUNT(*) AS cnt FROM stream {where}
+        SELECT "user", item, COUNT(*) AS cnt FROM stream
         GROUP BY "user", item
     ) WHERE cnt % 2 = 1
 """
@@ -38,32 +38,21 @@ TRUTH_SQL = """
 
 
 class TestPresent:
-    @pytest.mark.parametrize("frac", [0.3, 0.6, 1.0])
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf, frac):
-        T = int(tiny_stream_pdf["t"].max())
-        t = int(T * frac)
-        sql = PRESENT_SQL.format(where=f"WHERE t <= {t}")
-        assert_equivalent(exact.present(tiny_stream_sdf, t), sql, stream=tiny_stream_pdf)
-
     def test_full_stream_default(self, tiny_stream_sdf, tiny_stream_pdf):
-        sql = PRESENT_SQL.format(where="")
+        sql = PRESENT_SQL
         assert_equivalent(exact.present(tiny_stream_sdf), sql, stream=tiny_stream_pdf)
 
     def test_matches_pandas_net_state(self, tiny_stream_sdf, tiny_stream_pdf):
-        T = int(tiny_stream_pdf["t"].max())
-        got = set(map(tuple, exact.present(tiny_stream_sdf, T // 2).collect()))
-        ns = generator.net_state(tiny_stream_pdf, T // 2)
+        got = set(map(tuple, exact.present(tiny_stream_sdf).collect()))
+        ns = generator.net_state(tiny_stream_pdf)
         assert got == set(map(tuple, ns[["user", "item"]].values))
 
 
 class TestCardinalities:
-    @pytest.mark.parametrize("frac", [0.5, 1.0])
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf, frac):
-        T = int(tiny_stream_pdf["t"].max())
-        t = int(T * frac)
-        inner = PRESENT_SQL.format(where=f"WHERE t <= {t}")
+    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
+        inner = PRESENT_SQL
         assert_equivalent(
-            exact.cardinalities(tiny_stream_sdf, t),
+            exact.cardinalities(tiny_stream_sdf),
             f'SELECT "user", COUNT(*) AS n FROM ({inner}) GROUP BY "user"',
             stream=tiny_stream_pdf,
         )
@@ -106,7 +95,7 @@ class TestSelectTracked:
         pairs: those among them with s ≥ 1, int64 and sorted by (u, v)."""
         users, pairs = exact.select_tracked(tiny_stream_sdf, top_n)
         top = f"""
-            SELECT "user" FROM ({PRESENT_SQL.format(where="")})
+            SELECT "user" FROM ({PRESENT_SQL})
             GROUP BY "user" ORDER BY count(*) DESC, "user" LIMIT {top_n}
         """
         assert_equivalent(
@@ -116,7 +105,7 @@ class TestSelectTracked:
             spark.createDataFrame(pairs),
             f"""
             WITH p AS (
-                SELECT * FROM ({PRESENT_SQL.format(where="")})
+                SELECT * FROM ({PRESENT_SQL})
                 WHERE "user" IN ({top}))
             SELECT a."user" AS u, b."user" AS v, count(*) AS s_final
             FROM p a JOIN p b ON a.item = b.item AND a."user" < b."user"
@@ -168,17 +157,20 @@ class TestExactOverTime:
         merged = final.merge(pairs, on=["u", "v"], validate="1:1")
         assert (merged["s"] == merged["s_final"]).all()
 
-    def test_vs_duckdb(self, spark, tiny_stream_sdf, tiny_stream_pdf, tracked):
+    @pytest.mark.parametrize("n_ckpt", [2, 70])
+    def test_vs_duckdb(self, spark, tiny_stream_sdf, tiny_stream_pdf, tracked, n_ckpt):
+        """Two cuts, and 70: more than one long's worth of checkpoints."""
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
-        out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [T // 3, T // 2])
+        cps = [T // 3, T // 2] if n_ckpt == 2 else [T * (i + 1) // n_ckpt for i in range(n_ckpt)]
+        out = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
         cols = ["u", "v", "ckpt", "s", "n_u", "n_v"]
         assert_equivalent(
             spark.createDataFrame(out[cols]),
             TRUTH_SQL,
             stream=tiny_stream_pdf,
             pairs=pairs[["u", "v"]],
-            cps=pd.DataFrame({"ckpt": [0, 1], "t": [T // 3, T // 2]}),
+            cps=pd.DataFrame({"ckpt": np.arange(len(cps)), "t": cps}),
         )
 
     def test_rows_in_checkpoint_then_pairs_order(self, tiny_stream_sdf, tracked):

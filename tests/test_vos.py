@@ -82,6 +82,30 @@ class TestBatchBuild:
         A, betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, [T])
         assert betas[0] == pytest.approx(A[0].mean())
 
+    def test_many_checkpoints(self, tiny_stream_sdf, tiny_stream_pdf):
+        """70 checkpoints, more than 63 (one long's worth of bits), the
+        first before the first edge: each row is the flip-count parity of
+        its prefix."""
+        from repro.common import hashing
+
+        t = tiny_stream_pdf["t"].to_numpy(np.int64)
+        cps = np.linspace(t.min() - 1, t.max(), 70).round().astype(np.int64).tolist()
+        A, betas = vos.build_bit_arrays(tiny_stream_sdf, PARAMS, cps)
+        assert A.shape == (70, PARAMS.m)
+        for row, c in enumerate(cps):
+            prefix = tiny_stream_pdf[t <= c]
+            pos = hashing.vos_positions(
+                prefix["user"].to_numpy(np.int64),
+                prefix["item"].to_numpy(np.int64),
+                PARAMS.k,
+                PARAMS.m,
+                PARAMS.seed,
+            )
+            expect = np.bincount(pos, minlength=PARAMS.m) & 1
+            assert (A[row] == expect).all(), f"checkpoint {c}"
+            assert betas[row] == A[row].mean()
+        assert not A[0].any()
+
 
 class TestSparseBuild:
     """``build_bit_arrays(..., at=…)``: A at the requested positions only,
