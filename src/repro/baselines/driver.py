@@ -12,11 +12,13 @@ the stream is semi-filtered first.
 All requested methods replay in one pass: a single filter → shuffle →
 ``applyInPandas`` job hands each user's sorted sub-stream to every
 method's kernel in turn. Each kernel's ``replay`` draws the user's hash
-inputs (RP: uniforms) in one vectorised call and then applies its
-per-edge rule in arrival order, so the snapshots are bit-identical to a
-per-edge ``update`` loop. The checkpoint cuts are edge counts,
-``searchsorted(t, checkpoints, side="right")``: the snapshot at
-checkpoint c holds the edges with t ≤ c.
+inputs (RP: uniforms) in one vectorised call and then applies its rule
+to one run of same-action edges at a time (inserts, a deletion burst,
+inserts again), so the snapshots are bit-identical to a per-edge
+``update`` loop with far fewer numpy calls. The checkpoint cuts are
+edge counts, ``searchsorted(t, checkpoints, side="right")``: the
+snapshot at checkpoint c holds the edges with t ≤ c; a cut inside a
+run splits it.
 """
 from __future__ import annotations
 

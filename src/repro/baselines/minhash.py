@@ -20,7 +20,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
-from .replay import _MAXH, EMPTY, replay_steps
+from .replay import _MAXH, EMPTY, replay_runs
 
 
 class MinHashKernel:
@@ -39,14 +39,38 @@ class MinHashKernel:
     def replay(self, items, actions, cuts) -> list[np.ndarray]:
         """One user's edges in order; the snapshot after the first c edges
         for each c in ``cuts``. Equals an ``update`` loop, but the hashes
-        of all inserted items come from one ``minhash_matrix`` call."""
+        of all inserted items come from one ``minhash_matrix`` call, and
+        each run of same-action edges is applied at once."""
         items = np.asarray(items, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         inserted = actions > 0
         h = np.zeros((items.size, self.k), dtype=np.uint64)  # rows of deletes unused
         h[inserted] = hashing.minhash_matrix(items[inserted], self.k, self.seed)
-        steps = zip(items.tolist(), actions.tolist(), h)
-        return replay_steps(self._step, self.snapshot, steps, cuts)
+        return replay_runs(
+            actions,
+            cuts,
+            self.snapshot,
+            insert=lambda a, b: self._insert_run(items[a:b], h[a:b]),
+            delete=lambda a, b: self._delete_run(items[a:b]),
+        )
+
+    def _insert_run(self, items: np.ndarray, h: np.ndarray) -> None:
+        """Case 1 for a run of inserts with (L, k) hashes ``h``. Per
+        register, the run's earliest strict minimum is what a per-edge
+        loop keeps; it enters an empty register, or beats a filled one
+        only if strictly smaller."""
+        first = np.argmin(h, axis=0)
+        hmin = h[first, np.arange(self.k)]
+        take = (self.items == EMPTY) | (hmin < self.hashes)
+        self.items[take] = items[first[take]]
+        self.hashes[take] = hmin[take]
+
+    def _delete_run(self, items: np.ndarray) -> None:
+        """Cases 2–3 for a run of deletes: a register whose item the run
+        deletes becomes empty; later deletes in the run cannot refill it."""
+        gone = np.isin(self.items, items)
+        self.items[gone] = EMPTY
+        self.hashes[gone] = _MAXH
 
     def _step(self, item: int, action: int, h: np.ndarray | None) -> None:
         """The paper's cases 1–3 for one edge; ``h`` = h_1..h_k(item) on insert."""

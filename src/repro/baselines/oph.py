@@ -16,7 +16,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
-from .replay import _MAXH, EMPTY, replay_steps
+from .replay import _MAXH, EMPTY, replay_runs
 
 
 class OPHKernel:
@@ -36,13 +36,32 @@ class OPHKernel:
     def replay(self, items, actions, cuts) -> list[np.ndarray]:
         """One user's edges in order; the snapshot after the first c edges
         for each c in ``cuts``. Equals an ``update`` loop, but h and the
-        bin of every edge come from one ``oph_values``/``oph_bins`` call."""
+        bin of every edge come from one ``oph_values``/``oph_bins`` call,
+        and each run of same-action edges is applied at once."""
         items = np.asarray(items, dtype=np.int64)
         h = hashing.oph_values(items, self.seed)
         bins = hashing.oph_bins(h, self.k)
-        actions = np.asarray(actions, dtype=np.int64)
-        steps = zip(items.tolist(), actions.tolist(), h, bins.tolist())
-        return replay_steps(self._step, self.snapshot, steps, cuts)
+        return replay_runs(
+            actions,
+            cuts,
+            self.snapshot,
+            insert=lambda a, b: self._insert_run(items[a:b], h[a:b], bins[a:b]),
+            delete=lambda a, b: self._delete_run(items[a:b], bins[a:b]),
+        )
+
+    def _insert_run(self, items: np.ndarray, h: np.ndarray, bins: np.ndarray) -> None:
+        """A run of inserts: per bin, the run's earliest strict minimum
+        enters an empty bin, or beats a filled one only if strictly smaller."""
+        bs, rows = _bin_minima(h, bins)
+        take = (self.items[bs] == EMPTY) | (h[rows] < self.hashes[bs])
+        self.items[bs[take]] = items[rows[take]]
+        self.hashes[bs[take]] = h[rows[take]]
+
+    def _delete_run(self, items: np.ndarray, bins: np.ndarray) -> None:
+        """A run of deletes: a bin empties if the run deletes its item."""
+        hit = bins[self.items[bins] == items]
+        self.items[hit] = EMPTY
+        self.hashes[hit] = _MAXH
 
     def _step(self, item: int, action: int, h: np.uint64, b: int) -> None:
         """One edge against its bin ``b``: keep the bin minimum, empty on its deletion."""
@@ -65,11 +84,16 @@ def static_sketch(items, k: int, seed: int) -> np.ndarray:
     if it.size == 0:
         return regs
     h = hashing.oph_values(it, seed)
-    b = hashing.oph_bins(h, k)
-    order = np.lexsort((h, b))  # per bin ascending hash; first wins
-    bs, first = np.unique(b[order], return_index=True)
-    regs[bs] = it[order][first]
+    bs, rows = _bin_minima(h, hashing.oph_bins(h, k))
+    regs[bs] = it[rows]
     return regs
+
+
+def _bin_minima(h: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bins hit, row of each bin's minimum hash); of tied rows, the first."""
+    order = np.lexsort((h, bins))  # stable: tied rows keep their order
+    bs, first = np.unique(bins[order], return_index=True)
+    return bs, order[first]
 
 
 def estimate_pairs(regs_u: np.ndarray, regs_v: np.ndarray, n_u, n_v):

@@ -1,14 +1,16 @@
-"""Snapshot loop shared by the baseline kernels' ``replay``.
+"""Run-at-a-time snapshot loop shared by the baseline kernels' ``replay``.
 
 A kernel's ``replay`` draws one user's hash inputs (or RP's uniforms) for
-the whole edge sub-stream in one vectorised call, then hands this loop
-one argument tuple per edge for the same ``_step`` its per-edge
-``update`` runs. So the per-edge rule exists once, and the snapshots are
-the ones an ``update`` loop would take at the same cuts.
+the whole edge sub-stream in one vectorised call. This loop then splits
+the sub-stream into runs, maximal stretches of same-action edges that no
+checkpoint cut splits, and hands each run to the kernel's insert-run or
+delete-run rule. Each rule leaves the state that its per-edge ``update``
+loop over the same run would leave, so the snapshots are the ones an
+``update`` loop takes at the same cuts.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,23 +20,30 @@ EMPTY = np.int64(-1)
 _MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def replay_steps(
-    step: Callable[..., None],
-    snapshot: Callable[[], np.ndarray],
-    steps: Iterable[tuple],
+def replay_runs(
+    actions,
     cuts: Sequence[int],
+    snapshot: Callable[[], np.ndarray],
+    insert: Callable[[int, int], None],
+    delete: Callable[[int, int], None],
 ) -> list[np.ndarray]:
-    """Call ``step(*args)`` for each edge's ``args`` in order.
+    """Call ``insert(a, b)`` or ``delete(a, b)`` for each run of edges
+    ``a..b-1`` in order (``actions > 0`` inserts, else deletes).
 
     Returns one snapshot per cut c (non-decreasing edge counts): the state
     after the first c edges. Cuts past the last edge see the final state.
     """
-    cuts = [int(c) for c in cuts]
+    ins = np.asarray(actions) > 0
+    n = ins.size
+    cuts = np.minimum(np.asarray(cuts, dtype=np.int64), n)
+    turns = np.flatnonzero(ins[1:] != ins[:-1]) + 1
+    bounds = np.unique(np.concatenate(([0, n], turns, cuts))).tolist()
+    cuts = cuts.tolist()
     snaps: list[np.ndarray] = []
-    for e, args in enumerate(steps):
-        while len(snaps) < len(cuts) and cuts[len(snaps)] <= e:
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        while len(snaps) < len(cuts) and cuts[len(snaps)] <= a:
             snaps.append(snapshot())
-        step(*args)
+        (insert if ins[a] else delete)(a, b)
     while len(snaps) < len(cuts):
         snaps.append(snapshot())
     return snaps

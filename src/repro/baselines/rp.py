@@ -25,7 +25,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
-from .replay import EMPTY, replay_steps
+from .replay import EMPTY, replay_runs
 
 
 class RPKernel:
@@ -50,14 +50,55 @@ class RPKernel:
         """One user's edges in order; the snapshot after the first c edges
         for each c in ``cuts``. Equals an ``update`` loop: one
         ``random((n_inserts, k))`` call yields the numbers of n_inserts
-        sequential ``random(k)`` draws, in the same order."""
+        sequential ``random(k)`` draws, in the same order, and each run
+        of same-action edges is applied at once."""
         items = np.asarray(items, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         inserted = actions > 0
         r = np.zeros((items.size, self.k))  # rows of deletes unused
         r[inserted] = self.rng.random((int(inserted.sum()), self.k))
-        steps = zip(items.tolist(), actions.tolist(), r)
-        return replay_steps(self._step, self.snapshot, steps, cuts)
+        return replay_runs(
+            actions,
+            cuts,
+            self.snapshot,
+            insert=lambda a, b: self._insert_run(items[a:b], r[a:b]),
+            delete=lambda a, b: self._delete_run(items[a:b]),
+        )
+
+    def _insert_run(self, items: np.ndarray, r: np.ndarray) -> None:
+        """A run of inserts with (L, k) uniforms ``r``.
+
+        Every deletion adds 1 to each sampler's c_b or c_g and every
+        paired insertion takes 1 away, so the pending count c_b + c_g is
+        the same P for all k samplers. The first min(L, P) inserts are
+        pairing steps, one k-vector step each; the rest are reservoir
+        steps. A sampler's sample is the last row that entered it.
+        """
+        pend = int(self.c_bad[0] + self.c_good[0])
+        paired = min(len(items), pend)
+        steps = np.arange(len(items))
+        enter = np.empty(r.shape, dtype=bool)
+        # pairing step i: compensate a bad deletion w.p. c_b/(P − i)
+        thresholds = r[:paired] * (pend - steps[:paired])[:, None]
+        for i in range(paired):
+            np.less(thresholds[i], self.c_bad, out=enter[i])
+            self.c_bad -= enter[i]
+        self.c_good -= paired - enter[:paired].sum(axis=0)
+        # reservoir step i: enter w.p. 1/(n + i + 1), n before the run
+        enter[paired:] = r[paired:] * (self.n + 1 + steps[paired:])[:, None] < 1.0
+        hit = enter.any(axis=0)
+        last = len(items) - 1 - np.argmax(enter[::-1], axis=0)
+        self.items[hit] = items[last[hit]]
+        self.n += len(items)
+
+    def _delete_run(self, items: np.ndarray) -> None:
+        """A run of deletes: a sampler whose sample the run deletes counts
+        one bad deletion and L − 1 good ones; every other sampler L good."""
+        was_sample = np.isin(self.items, items)
+        self.items[was_sample] = EMPTY
+        self.c_bad += was_sample
+        self.c_good += len(items) - was_sample
+        self.n -= len(items)
 
     def _step(self, item: int, action: int, r: np.ndarray | None) -> None:
         """One edge; ``r`` holds the k samplers' uniforms on insert."""
