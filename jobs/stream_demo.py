@@ -41,7 +41,9 @@ def main(argv=None) -> int:
     total = len(stream)
     params = vos.VOSParams.paper_budget(spec.n_users, k_reg=args.k_reg)
     sdf = generator.to_spark(spark, stream)
-    users, pairs = exact.select_tracked(sdf, top_n=10)
+    # One collect of the tracked users' rows feeds the selection and the truth.
+    rows = exact.tracked_rows(sdf, exact.top_users(sdf, 10))
+    users, pairs = exact.select_tracked(rows, top_n=10)
     pairs = pairs.sort_values("s_final", ascending=False)
     u, v = int(pairs.iloc[0]["u"]), int(pairs.iloc[0]["v"])
     print(f"[demo] dataset={args.dataset} stream={total} edges, "
@@ -52,7 +54,7 @@ def main(argv=None) -> int:
         os.makedirs(indir)
         query = streaming.start_query(spark, indir, ckdir, params, query_name="vos_demo")
         cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
-        truths = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], cuts)
+        truths = exact.exact_over_time(rows, [u, v], pairs.iloc[[0]], cuts)
         lo = 0
         for bi, hi in enumerate(cuts):
             chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]

@@ -1,24 +1,23 @@
-"""Distributed per-user sequential sketching via ``applyInPandas``.
+"""Per-user sequential sketching of the tracked users, on the driver.
 
 MinHash/OPH/RP state evolves *sequentially* along each user's edge
 sub-stream (deletions make the update order-dependent — that is the
-paper's point), but users are independent of each other. So the natural
-Spark layout is: group the stream by user, replay each user's edges in
-arrival order inside an ``applyInPandas`` kernel, and emit register
-snapshots at the requested checkpoint times. Only tracked users (the
-paper's largest-cardinality selection) need sketches for estimation, so
-the stream is semi-filtered first.
+paper's point), but users are independent of each other. Only tracked
+users (the paper's largest-cardinality selection) need sketches for
+estimation, and their rows are few: the harness collects them once
+(``exact.tracked_rows``) and the same frame feeds the exact truth and
+this replay.
 
-All requested methods replay in one pass: a single filter → shuffle →
-``applyInPandas`` job hands each user's sorted sub-stream to every
-method's kernel in turn. Each kernel's ``replay`` draws the user's hash
-inputs (RP: uniforms) in one vectorised call and then applies its rule
-to one run of same-action edges at a time (inserts, a deletion burst,
-inserts again), so the snapshots are bit-identical to a per-edge
-``update`` loop with far fewer numpy calls. The checkpoint cuts are
-edge counts, ``searchsorted(t, checkpoints, side="right")``: the
-snapshot at checkpoint c holds the edges with t ≤ c; a cut inside a
-run splits it.
+``sketch_snapshots`` sorts the rows by (user, t) and hands each user's
+sub-stream to every requested method's kernel in turn. Each kernel's
+``replay`` draws the user's hash inputs (RP: uniforms) in one vectorised
+call and then applies its rule to one run of same-action edges at a time
+(inserts, a deletion burst, inserts again), so the snapshots are
+bit-identical to a per-edge ``update`` loop with far fewer numpy calls.
+The checkpoint cuts are edge counts,
+``searchsorted(t, checkpoints, side="right")``: the snapshot at
+checkpoint c holds the edges with t ≤ c; a cut inside a run splits it. A
+user with no edges replays an empty sub-stream.
 """
 from __future__ import annotations
 
@@ -26,21 +25,8 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-from . import minhash, oph, rp
-from .replay import EMPTY
-
-SNAPSHOT_SCHEMA = T.StructType(
-    [
-        T.StructField("method", T.StringType(), False),
-        T.StructField("user", T.LongType(), False),
-        T.StructField("ckpt", T.IntegerType(), False),
-        T.StructField("regs", T.ArrayType(T.LongType()), False),
-    ]
-)
+from . import exact, minhash, oph, rp
 
 METHOD_KERNELS = {
     "minhash": lambda user, k, seed: minhash.MinHashKernel(k, seed),
@@ -50,64 +36,51 @@ METHOD_KERNELS = {
 
 
 def sketch_snapshots(
-    edges: DataFrame,
+    edges: exact.Edges,
     users: Sequence[int],
     checkpoints: Sequence[int],
     method: str | Sequence[str],
     k: int,
     seed: int,
 ) -> pd.DataFrame:
-    """Register snapshots (method, user, ckpt, regs[k]) at each checkpoint.
+    """Register snapshots (method, user, ckpt, regs[k]) at each checkpoint,
+    sorted by (method, user, ckpt).
 
-    ``method`` is one method name or a sequence of names; every requested
-    method is replayed in the same Spark job. ``regs`` holds sampled item
-    ids, −1 for an empty register. The snapshot at checkpoint c reflects
-    all of the user's edges with t ≤ c.
+    ``edges`` is a Spark stream or a pandas frame of stream rows; either
+    is read through ``exact.tracked_rows``. ``method`` is one method name
+    or a sequence of names; every requested method replays each user's
+    sub-stream in the same pass. ``regs`` holds sampled item ids, −1 for
+    an empty register. The snapshot at checkpoint c reflects all of the
+    user's edges with t ≤ c.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     for name in methods:
         if name not in METHOD_KERNELS:
             raise ValueError(f"unknown method {name!r}; one of {sorted(METHOD_KERNELS)}")
+    methods = sorted(set(methods))
     cps = np.sort(np.asarray(checkpoints, dtype=np.int64))
-    ckpts = np.arange(cps.size)
-    user_list = [int(u) for u in users]
-
-    def replay(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t")
-        user = int(pdf["user"].iloc[0])
-        items = pdf["item"].to_numpy(np.int64)
-        actions = pdf["action"].to_numpy(np.int64)
-        cuts = np.searchsorted(pdf["t"].to_numpy(), cps, side="right")
-        frames = []
-        for name in methods:
-            snaps = METHOD_KERNELS[name](user, k, seed).replay(items, actions, cuts)
-            frames.append(
-                pd.DataFrame(
-                    {"method": name, "user": user, "ckpt": ckpts, "regs": [s.tolist() for s in snaps]}
-                )
-            )
-        return pd.concat(frames, ignore_index=True)
-
-    out = (
-        edges.where(F.col("user").isin(user_list))
-        .groupBy("user")
-        .applyInPandas(replay, SNAPSHOT_SCHEMA)
-        .toPandas()
+    users = np.unique(np.asarray(users, dtype=np.int64))
+    rows = exact.tracked_rows(edges, users).sort_values(["user", "t"])
+    user_col = rows["user"].to_numpy(np.int64)
+    items = rows["item"].to_numpy(np.int64)
+    actions = rows["action"].to_numpy(np.int64)
+    t = rows["t"].to_numpy(np.int64)
+    lo = np.searchsorted(user_col, users, side="left")
+    hi = np.searchsorted(user_col, users, side="right")
+    regs = []
+    for name in methods:
+        for user, a, b in zip(users.tolist(), lo.tolist(), hi.tolist()):
+            cuts = np.searchsorted(t[a:b], cps, side="right")
+            regs += METHOD_KERNELS[name](user, k, seed).replay(items[a:b], actions[a:b], cuts)
+    n_cps, n_users = cps.size, users.size
+    return pd.DataFrame(
+        {
+            "method": np.repeat(methods, n_users * n_cps),
+            "user": np.tile(np.repeat(users, n_cps), len(methods)),
+            "ckpt": np.tile(np.arange(n_cps), len(methods) * n_users),
+            "regs": pd.Series(regs, dtype=object),
+        }
     )
-    # Users with no edges at all still need (empty) snapshots.
-    missing = sorted(set(user_list) - set(out["user"].unique()))
-    if missing:
-        empty = np.full(k, EMPTY, dtype=np.int64).tolist()
-        out = pd.concat(
-            [out]
-            + [
-                pd.DataFrame({"method": name, "user": u, "ckpt": ckpts, "regs": [empty] * cps.size})
-                for name in methods
-                for u in missing
-            ],
-            ignore_index=True,
-        )
-    return out.sort_values(["method", "user", "ckpt"]).reset_index(drop=True)
 
 
 def snapshots_to_matrix(

@@ -7,18 +7,25 @@ parity rule:
 
 * ``present`` / ``cardinalities`` — the final state as Spark DataFrames
   (one parity aggregation).
-* ``select_tracked`` — the paper's §V selection: users with the largest
-  final cardinalities (the top-n is taken in Spark, so only the chosen
-  users reach the driver), pairs among them sharing ≥ 1 item at the end.
+* ``top_users`` — the paper's §V users: the largest final cardinalities
+  (on a Spark stream the top-n runs in Spark, so only the chosen users
+  reach the driver).
+* ``tracked_rows`` — the tracked users' raw (user, item, t, action) rows:
+  one narrow collect, shared by the exact truth and the baseline replay
+  (``driver.sketch_snapshots``).
+* ``select_tracked`` — the top-n users and the pairs among them sharing
+  ≥ 1 item at the end.
 * ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the
   tracked pairs at every checkpoint.
+* ``infeasible_events`` — the rows that break the parity rule's premise.
 
-Both tracked-user functions collect the tracked users' raw (user, item,
-t) rows with a narrow filter, take every checkpoint's membership with
-``prefix.prefix_parity`` and compute every pair overlap on the driver as
-a membership-matrix product (``_overlaps``): tracked users are a few
-dozen, their distinct items a few thousand.
-The DuckDB oracle cross-checks all four functions in the tests.
+The tracked-user functions take ``edges`` as a Spark stream or as a
+pandas frame of stream rows (e.g. ``tracked_rows``' output); a Spark
+stream is read through ``tracked_rows``. Every checkpoint's membership
+comes from ``prefix.prefix_parity`` and every pair overlap from a
+membership-matrix product on the driver (``_overlaps``): tracked users
+are a few dozen, their distinct items a few thousand.
+The DuckDB oracle cross-checks them in the tests.
 """
 from __future__ import annotations
 
@@ -31,6 +38,10 @@ from pyspark.sql import functions as F
 
 from ..common import prefix
 from ..core import estimator
+
+# A Spark stream, or a pandas frame of stream rows.
+Edges = DataFrame | pd.DataFrame
+ROW_COLUMNS = ("user", "item", "t", "action")
 
 
 def present(edges: DataFrame) -> DataFrame:
@@ -59,21 +70,60 @@ def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return iu, iv
 
 
+def top_users(edges: Edges, top_n: int) -> np.ndarray:
+    """Paper §V users: the ``top_n`` largest final cardinalities, ties
+    broken by user id, as ascending int64 ids. Users whose set is empty at
+    the end are never chosen."""
+    if isinstance(edges, pd.DataFrame):
+        odd = edges.groupby(["user", "item"]).size() % 2 == 1
+        card = odd[odd].groupby(level="user").size().rename("n").reset_index()
+        top = card.sort_values(["n", "user"], ascending=[False, True]).head(top_n)
+    else:
+        top = cardinalities(edges).orderBy(F.desc("n"), "user").limit(top_n).toPandas()
+    return np.sort(top["user"].to_numpy(np.int64))
+
+
+def tracked_rows(edges: Edges, users) -> pd.DataFrame:
+    """The (user, item, t, action) rows of ``users``, in no set order.
+
+    On a Spark stream this is one narrow collect; a pandas frame of
+    stream rows is filtered on the driver."""
+    users = np.asarray(users, dtype=np.int64)
+    if isinstance(edges, pd.DataFrame):
+        return edges.loc[edges["user"].isin(users), list(ROW_COLUMNS)]
+    return edges.where(F.col("user").isin(users.tolist())).select(*ROW_COLUMNS).toPandas()
+
+
+def infeasible_events(rows: pd.DataFrame) -> pd.DataFrame:
+    """Rows a feasible stream cannot hold, in t order: an insert of an
+    edge already present, or a delete of an absent one.
+
+    Each (user, item)'s rows are read in t order; an edge is present
+    after an insert and absent after a delete (or before its first row).
+    The parity rule silently misreads a stream with any such row."""
+    rows = rows.sort_values(["user", "item", "t"])
+    user, item = rows["user"].to_numpy(), rows["item"].to_numpy()
+    ins = rows["action"].to_numpy() > 0
+    same_edge = (user[1:] == user[:-1]) & (item[1:] == item[:-1])
+    was_present = np.r_[False, ins[:-1] & same_edge]
+    return rows[ins == was_present].sort_values("t").reset_index(drop=True)
+
+
 def _overlaps(
-    edges: DataFrame, users, checkpoints: Sequence[int]
+    edges: Edges, users, checkpoints: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact n and S of the tracked ``users``, one slice per checkpoint.
 
-    One narrow Spark query collects the tracked users' raw (user, item,
-    t) rows. On the driver, M[c, u, i] = 1 iff user u's occurrence count
-    of item i is odd at checkpoint c (``prefix.prefix_parity`` over the
-    cell index u·n_items + i), over the tracked users × their distinct
-    items. Returns int64 ``n = M.sum(-1)``, shape (n_ckpt, n_users), and
+    Reads the users' rows through ``tracked_rows``. On the driver,
+    M[c, u, i] = 1 iff user u's occurrence count of item i is odd at
+    checkpoint c (``prefix.prefix_parity`` over the cell index
+    u·n_items + i), over the tracked users × their distinct items.
+    Returns int64 ``n = M.sum(-1)``, shape (n_ckpt, n_users), and
     ``S = M @ Mᵀ``, shape (n_ckpt, n_users, n_users), with rows in the
     order of ``users``.
     """
     users = np.asarray(users, dtype=np.int64)
-    raw = edges.where(F.col("user").isin(users.tolist())).select("user", "item", "t").toPandas()
+    raw = tracked_rows(edges, users)
     rows = pd.Index(users).get_indexer(raw["user"].to_numpy(np.int64))
     cols, items = pd.factorize(raw["item"])
     cells, odd = prefix.prefix_parity(rows * len(items) + cols, raw["t"], checkpoints)
@@ -87,18 +137,16 @@ def _overlaps(
 
 
 def select_tracked(
-    edges: DataFrame, top_n: int
+    edges: Edges, top_n: int
 ) -> tuple[np.ndarray, pd.DataFrame]:
     """Paper §V selection at final time.
 
     Returns (tracked user ids ascending, pairs DataFrame with int64
     columns u, v, s_final sorted by (u, v)) — the pairs among the
-    ``top_n`` largest-cardinality users that share at least one item
-    when the whole stream has arrived. Ties broken by user id for
-    determinism.
+    ``top_users`` that share at least one item when the whole stream
+    has arrived.
     """
-    top = cardinalities(edges).orderBy(F.desc("n"), "user").limit(top_n).toPandas()
-    users = np.sort(top["user"].to_numpy(np.int64))
+    users = top_users(edges, top_n)
     _, S = _overlaps(edges, users, [np.iinfo(np.int64).max])
     iu, iv = np.triu_indices(len(users), 1)
     s = S[0, iu, iv]
@@ -108,7 +156,7 @@ def select_tracked(
 
 
 def exact_over_time(
-    edges: DataFrame,
+    edges: Edges,
     users: Sequence[int],
     pairs: pd.DataFrame,
     checkpoints: Sequence[int],

@@ -110,18 +110,28 @@ def run_accuracy(
     checkpoints = [round(total * (i + 1) / n_checkpoints) for i in range(n_checkpoints)]
     edges = generator.to_spark(spark, stream_pdf).cache()
     try:
-        users, pairs = exact.select_tracked(edges, top_n)
-        truth = exact.exact_over_time(edges, users, pairs, checkpoints)
+        # One narrow collect of the tracked users' rows feeds the exact
+        # truth and the baseline replay; only the VOS build reads edges.
+        rows = exact.tracked_rows(edges, exact.top_users(edges, top_n))
+        bad = exact.infeasible_events(rows)
+        if len(bad):
+            first = bad.iloc[0]
+            raise ValueError(
+                f"{len(bad)} infeasible events among the tracked users' rows; first at "
+                f"user {first['user']}, item {first['item']}, t {first['t']}"
+            )
+        users, pairs = exact.select_tracked(rows, top_n)
+        truth = exact.exact_over_time(rows, users, pairs, checkpoints)
         # Truth rows come in (ckpt, pairs row) order.
         s, n_u, n_v, j = (
             truth[c].to_numpy(np.float64).reshape(len(checkpoints), len(pairs))
             for c in ("s", "n_u", "n_v", "j")
         )
         params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
-        # One Spark pass replays every requested baseline.
+        # One pass over the tracked rows replays every requested baseline.
         baselines = tuple(m for m in methods if m != "vos")
         snaps = (
-            driver.sketch_snapshots(edges, users, checkpoints, baselines, k_reg, seed + 13)
+            driver.sketch_snapshots(rows, users, checkpoints, baselines, k_reg, seed + 13)
             if baselines
             else None
         )

@@ -2,9 +2,9 @@
 
 Measures the wall time of the *sketch update* per stream edge for each
 method as the sketch size k grows, on a prefix of a dataset's dynamic
-stream. These are the same kernels the Spark drivers run inside
-``applyInPandas``; timing them single-threaded isolates the per-edge
-complexity (the paper's quantity) from scheduling noise.
+stream. These are the same kernels the baseline replay runs
+(``driver.sketch_snapshots``); timing them single-threaded isolates the
+per-edge complexity (the paper's quantity) from scheduling noise.
 
 The reproduced claim is the complexity *shape*: VOS and OPH touch O(1)
 registers per edge so their per-edge time is flat in k, while MinHash

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from . import generator
 
@@ -74,10 +73,3 @@ def make_stream(name: str, *, seed: int = 0) -> tuple[pd.DataFrame, DatasetSpec]
     stream = generator.dynamic_stream(edges, q=spec.q, d=spec.d, seed=seed)
     return stream, spec
 
-
-def load_stream(
-    spark: SparkSession, name: str, *, seed: int = 0
-) -> tuple[DataFrame, DatasetSpec]:
-    """Generate a named dataset's dynamic stream as a Spark DataFrame."""
-    stream, spec = make_stream(name, seed=seed)
-    return generator.to_spark(spark, stream), spec

@@ -69,10 +69,3 @@ class TestMakeStream:
         card = generator.net_state(s).groupby("user").size()
         assert card.max() >= 30
 
-
-class TestLoadStream:
-    def test_spark_roundtrip(self, spark):
-        sdf, spec = datasets.load_stream(spark, "tiny", seed=0)
-        assert sdf.schema == generator.STREAM_SCHEMA
-        pdf, _ = datasets.make_stream("tiny", seed=0)
-        assert sdf.count() == len(pdf)

@@ -1,8 +1,8 @@
-"""Tests for the per-user sequential Spark driver (repro.baselines.driver)."""
+"""Tests for the per-user sequential baseline replay (repro.baselines.driver)."""
 import numpy as np
 import pytest
 
-from repro.baselines import driver, minhash, oph, rp
+from repro.baselines import driver, exact, minhash, oph, rp
 
 CHECKPOINTS = [800, 1600, 2400]
 
@@ -32,13 +32,18 @@ def local_replay(stream_pdf, user, method, k, seed, checkpoints):
 
 @pytest.mark.parametrize("method", ["minhash", "oph", "rp"])
 class TestSnapshotEquivalence:
+    @pytest.fixture(scope="class")
+    def edges(self, tiny_stream_sdf, tracked_users):
+        """The stream as the checks pass it: here the Spark stream."""
+        return tiny_stream_sdf
+
     def test_matches_local_replay(
-        self, tiny_stream_sdf, tiny_stream_pdf, tracked_users, method
+        self, edges, tiny_stream_pdf, tracked_users, method
     ):
-        """applyInPandas snapshots == sequential replay per user."""
+        """Run-level replay snapshots == sequential replay per user."""
         k, seed = 16, 3
         snaps = driver.sketch_snapshots(
-            tiny_stream_sdf, tracked_users, CHECKPOINTS, method, k, seed
+            edges, tracked_users, CHECKPOINTS, method, k, seed
         )
         for u in tracked_users:
             ref = local_replay(tiny_stream_pdf, u, method, k, seed, CHECKPOINTS)
@@ -47,19 +52,28 @@ class TestSnapshotEquivalence:
                 assert (np.asarray(got) == ref[ci]).all(), f"user {u} ckpt {ci}"
 
     def test_all_users_all_checkpoints_present(
-        self, tiny_stream_sdf, tracked_users, method
+        self, edges, tracked_users, method
     ):
         snaps = driver.sketch_snapshots(
-            tiny_stream_sdf, tracked_users, CHECKPOINTS, method, 8, 0
+            edges, tracked_users, CHECKPOINTS, method, 8, 0
         )
         assert len(snaps) == len(tracked_users) * len(CHECKPOINTS)
 
-    def test_edgeless_user_gets_empty_snapshots(self, tiny_stream_sdf, method):
+    def test_edgeless_user_gets_empty_snapshots(self, edges, method):
         ghost = 10_000  # not in the stream
-        snaps = driver.sketch_snapshots(tiny_stream_sdf, [ghost], CHECKPOINTS, method, 8, 0)
+        snaps = driver.sketch_snapshots(edges, [ghost], CHECKPOINTS, method, 8, 0)
         assert len(snaps) == len(CHECKPOINTS)
         for regs in snaps["regs"]:
             assert (np.asarray(regs) == -1).all()
+
+
+class TestSnapshotEquivalenceOnRows(TestSnapshotEquivalence):
+    """The same checks on the tracked users' collected rows, the frame
+    the harness passes."""
+
+    @pytest.fixture(scope="class")
+    def edges(self, tiny_stream_sdf, tracked_users):
+        return exact.tracked_rows(tiny_stream_sdf, tracked_users)
 
 
 class TestMultiMethod:

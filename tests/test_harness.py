@@ -66,6 +66,63 @@ class TestRunAccuracy:
         # the whole experiment must be reproducible bit-for-bit.
         assert again.equals(tiny_results)
 
+    def test_equals_spark_input_path(self, spark, tiny_results):
+        """The table equals one built with the selection, the exact truth
+        and the baseline replay each reading the Spark stream."""
+        import pandas as pd
+
+        from repro.baselines import driver
+        from repro.core import vos
+        from repro.eval import metrics
+        from repro.streams import datasets, generator
+
+        stream, spec = datasets.make_stream("tiny", seed=0)
+        cps = [round(len(stream) * (i + 1) / 4) for i in range(4)]
+        edges = generator.to_spark(spark, stream)
+        users, pairs = exact.select_tracked(edges, 8)
+        truth = exact.exact_over_time(edges, users, pairs, cps)
+        s, n_u, n_v, j = (
+            truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs))
+            for c in ("s", "n_u", "n_v", "j")
+        )
+        snaps = driver.sketch_snapshots(edges, users, cps, ("minhash", "oph", "rp"), 32, 13)
+        params = vos.VOSParams.paper_budget(spec.n_users, k_reg=32, lam=2, seed=7)
+        rows = []
+        for method in harness.METHODS:
+            if method == "vos":
+                s_hat, j_hat = harness.estimate_vos(edges, users, pairs, n_u, n_v, cps, params)
+            else:
+                s_hat, j_hat = harness.estimate_baseline(snaps, users, pairs, n_u, n_v, method, 32)
+            rows += [
+                {
+                    "dataset": "tiny", "method": method, "ckpt": ci, "t": t,
+                    "n_pairs": len(pairs),
+                    "aape": metrics.aape(s[ci], s_hat[ci]),
+                    "armse": metrics.armse(j[ci], j_hat[ci]),
+                }
+                for ci, t in enumerate(cps)
+            ]
+        expect = pd.DataFrame(rows).sort_values(["method", "ckpt"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(tiny_results, expect, check_exact=True)
+
+    def test_infeasible_stream_raises(self, spark, monkeypatch):
+        """A duplicate insert among the tracked users' rows stops the run
+        instead of being misread by the parity rule."""
+        import pandas as pd
+
+        from repro.streams import datasets, generator
+
+        stream, spec = datasets.make_stream("tiny", seed=0)
+        final = generator.net_state(stream)
+        user = int(final.groupby("user").size().idxmax())
+        item = int(final.loc[final["user"] == user, "item"].iloc[0])
+        t = int(stream["t"].max()) + 1
+        dup = stream.tail(1).assign(t=t, user=user, item=item, action=1)
+        bad = pd.concat([stream, dup], ignore_index=True)
+        monkeypatch.setattr(harness.datasets, "make_stream", lambda name, seed: (bad, spec))
+        with pytest.raises(ValueError, match=f"1 infeasible events.*user {user}, item {item}, t {t}"):
+            harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=8, seed=0)
+
 
 class TestEstimateHelpers:
     def test_pair_indices(self):
