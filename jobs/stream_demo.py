@@ -27,7 +27,7 @@ def main(argv=None) -> int:
 
     from repro.baselines import exact
     from repro.core import estimator, streaming, vos
-    from repro.streams import datasets, generator
+    from repro.streams import datasets
 
     spark = (
         SparkSession.builder.appName("vos-stream-demo")
@@ -40,9 +40,9 @@ def main(argv=None) -> int:
     stream, spec = datasets.make_stream(args.dataset, seed=args.seed)
     total = len(stream)
     params = vos.VOSParams.paper_budget(spec.n_users, k_reg=args.k_reg)
-    sdf = generator.to_spark(spark, stream)
-    # One collect of the tracked users' rows feeds the selection and the truth.
-    rows = exact.tracked_rows(sdf, exact.top_users(sdf, 10))
+    # The tracked users' rows, filtered from the driver's frame, feed the
+    # selection and the truth; the streaming query is the only Spark work.
+    rows = exact.tracked_rows(stream, exact.top_users(stream, 10))
     users, pairs = exact.select_tracked(rows, top_n=10)
     pairs = pairs.sort_values("s_final", ascending=False)
     u, v = int(pairs.iloc[0]["u"]), int(pairs.iloc[0]["v"])

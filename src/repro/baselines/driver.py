@@ -4,9 +4,10 @@ MinHash/OPH/RP state evolves *sequentially* along each user's edge
 sub-stream (deletions make the update order-dependent — that is the
 paper's point), but users are independent of each other. Only tracked
 users (the paper's largest-cardinality selection) need sketches for
-estimation, and their rows are few: the harness collects them once
-(``exact.tracked_rows``) and the same frame feeds the exact truth and
-this replay.
+estimation, and their rows are few: the harness filters them once from
+the generated stream's frame on the driver (``exact.tracked_rows``), and
+the same rows feed the exact truth and this replay. A Spark stream is
+read through the same function, in one narrow collect.
 
 ``sketch_snapshots`` sorts the rows by (user, t) and hands each user's
 sub-stream to every requested method's kernel in turn. Each kernel's

@@ -8,11 +8,13 @@ parity rule:
 * ``present`` / ``cardinalities`` — the final state as Spark DataFrames
   (one parity aggregation).
 * ``top_users`` — the paper's §V users: the largest final cardinalities
-  (on a Spark stream the top-n runs in Spark, so only the chosen users
-  reach the driver).
-* ``tracked_rows`` — the tracked users' raw (user, item, t, action) rows:
-  one narrow collect, shared by the exact truth and the baseline replay
-  (``driver.sketch_snapshots``).
+  (on a pandas frame the top-n runs in pandas; on a Spark stream it runs
+  in Spark, so only the chosen users reach the driver).
+* ``tracked_rows`` — the tracked users' raw (user, item, t, action) rows,
+  shared by the exact truth and the baseline replay
+  (``driver.sketch_snapshots``). The harness filters them from the
+  generated stream's pandas frame, which the driver already holds; on a
+  Spark stream they come back in one narrow collect.
 * ``select_tracked`` — the top-n users and the pairs among them sharing
   ≥ 1 item at the end.
 * ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the

@@ -37,6 +37,19 @@ TRUTH_SQL = """
 """
 
 
+def ties_and_emptied_user() -> pd.DataFrame:
+    """A stream whose final sets are {1: 4, 3: 2, 5: 2, 7: 2, 9: 1}
+    items: users 3, 5 and 7 tie, and deletions empty user 2's set."""
+    events = [
+        (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (1, 2, 1), (7, 3, 1),
+        (2, 3, 1), (5, 2, 1), (1, 3, 1), (2, 1, -1), (3, 5, 1), (5, 5, 1),
+        (2, 2, -1), (7, 6, 1), (1, 4, 1), (9, 7, 1), (2, 3, -1),
+    ]  # (user, item, action)
+    stream = pd.DataFrame(events, columns=["user", "item", "action"])
+    stream.insert(0, "t", np.arange(1, len(stream) + 1))
+    return stream
+
+
 class OnSparkStream:
     """Runs a class's checks with ``edges`` given as the Spark stream.
 
@@ -149,13 +162,7 @@ class TestSelectTracked(OnSparkStream):
         """Users 3, 5 and 7 tie on |S| = 2 across the cut at top_n = 3, so
         the lowest ids win. Deletions empty user 2's set: a top_n above
         the five non-empty users must still not return it."""
-        events = [
-            (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (1, 2, 1), (7, 3, 1),
-            (2, 3, 1), (5, 2, 1), (1, 3, 1), (2, 1, -1), (3, 5, 1), (5, 5, 1),
-            (2, 2, -1), (7, 6, 1), (1, 4, 1), (9, 7, 1), (2, 3, -1),
-        ]  # (user, item, action)
-        stream = pd.DataFrame(events, columns=["user", "item", "action"])
-        stream.insert(0, "t", np.arange(1, len(stream) + 1))
+        stream = ties_and_emptied_user()
         final = generator.net_state(stream)
         card = final.groupby("user").size()
         assert card.to_dict() == {1: 4, 3: 2, 5: 2, 7: 2, 9: 1}
@@ -174,6 +181,35 @@ class TestSelectTrackedOnRows(OnCollectedRows, TestSelectTracked):
     pass
 
 
+class TestTopUsers:
+    """The pandas top-n (the harness's path) equals the Spark top-n."""
+
+    def test_tiny_every_n(self, tiny_stream_sdf, tiny_stream_pdf):
+        n_users = generator.net_state(tiny_stream_pdf)["user"].nunique()
+        for n in range(1, n_users + 1):
+            got = exact.top_users(tiny_stream_pdf, n)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, exact.top_users(tiny_stream_sdf, n), err_msg=f"n={n}")
+
+    def test_tie_across_the_cut_and_emptied_user(self, spark):
+        """Users 3, 5 and 7 tie on |S| = 2 across the cut at n = 2 and
+        n = 3; deletions empty user 2's set, so no n returns it."""
+        stream = ties_and_emptied_user()
+        sdf = generator.to_spark(spark, stream)
+        for n in range(1, 8):
+            got = exact.top_users(stream, n)
+            np.testing.assert_array_equal(got, exact.top_users(sdf, n), err_msg=f"n={n}")
+            assert 2 not in got
+        assert exact.top_users(stream, 2).tolist() == [1, 3]
+
+    @pytest.mark.parametrize("name", ["youtube", "flickr", "orkut", "livejournal"])
+    def test_datasets(self, spark, name):
+        stream, _ = datasets.make_stream(name, seed=0)
+        got = exact.top_users(stream, 50)
+        assert len(got) == 50
+        np.testing.assert_array_equal(got, exact.top_users(generator.to_spark(spark, stream), 50))
+
+
 class TestTrackedRows:
     def test_rows_of_the_users(self, tiny_stream_sdf, tiny_stream_pdf):
         users = exact.top_users(tiny_stream_sdf, 8)
@@ -189,7 +225,7 @@ class TestTrackedRows:
 
     @pytest.mark.parametrize("top_n", [5, 8, 20])
     def test_selection_from_the_top_users_rows(self, tiny_stream_sdf, top_n):
-        """The harness's composition: the top-n in Spark, one collect of
+        """The Spark-input composition: the top-n in Spark, one collect of
         those users' rows, then the selection on the rows alone."""
         users, pairs = exact.select_tracked(tiny_stream_sdf, top_n)
         assert (exact.top_users(tiny_stream_sdf, top_n) == users).all()

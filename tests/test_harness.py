@@ -14,6 +14,25 @@ def tiny_results(spark):
     )
 
 
+def tiny_with_duplicate_insert(pick: str):
+    """The tiny stream, and a copy ending in a second insert of an edge
+    that is present at the end. The edge's user has the largest
+    (``pick="idxmax"``) or smallest (``"idxmin"``) final set.
+
+    Returns (stream, spec, bad stream, user, item, t of the insert)."""
+    import pandas as pd
+
+    from repro.streams import datasets, generator
+
+    stream, spec = datasets.make_stream("tiny", seed=0)
+    final = generator.net_state(stream)
+    user = int(getattr(final.groupby("user").size(), pick)())
+    item = int(final.loc[final["user"] == user, "item"].iloc[0])
+    t = int(stream["t"].max()) + 1
+    dup = stream.tail(1).assign(t=t, user=user, item=item, action=1)
+    return stream, spec, pd.concat([stream, dup], ignore_index=True), user, item, t
+
+
 class TestRunAccuracy:
     def test_table_complete(self, tiny_results):
         assert set(tiny_results["method"]) == set(harness.METHODS)
@@ -108,20 +127,67 @@ class TestRunAccuracy:
     def test_infeasible_stream_raises(self, spark, monkeypatch):
         """A duplicate insert among the tracked users' rows stops the run
         instead of being misread by the parity rule."""
-        import pandas as pd
-
-        from repro.streams import datasets, generator
-
-        stream, spec = datasets.make_stream("tiny", seed=0)
-        final = generator.net_state(stream)
-        user = int(final.groupby("user").size().idxmax())
-        item = int(final.loc[final["user"] == user, "item"].iloc[0])
-        t = int(stream["t"].max()) + 1
-        dup = stream.tail(1).assign(t=t, user=user, item=item, action=1)
-        bad = pd.concat([stream, dup], ignore_index=True)
+        stream, spec, bad, user, item, t = tiny_with_duplicate_insert("idxmax")
         monkeypatch.setattr(harness.datasets, "make_stream", lambda name, seed: (bad, spec))
         with pytest.raises(ValueError, match=f"1 infeasible events.*user {user}, item {item}, t {t}"):
             harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=8, seed=0)
+
+    def test_infeasible_untracked_user_raises(self, spark, monkeypatch):
+        """A duplicate insert for a user outside the top-n stops the run
+        too: the top-n reads every user's set through the parity rule."""
+        stream, spec, bad, user, item, t = tiny_with_duplicate_insert("idxmin")
+        for frame in (stream, bad):
+            assert user not in exact.top_users(frame, 8)
+        monkeypatch.setattr(harness.datasets, "make_stream", lambda name, seed: (bad, spec))
+        with pytest.raises(ValueError, match=f"1 infeasible events.*user {user}, item {item}, t {t}"):
+            harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=8, seed=0)
+
+
+def jobs_in_group(spark, fn) -> int:
+    """Spark jobs that ``fn()`` runs, counted in a job group of its own."""
+    import uuid
+
+    sc = spark.sparkContext
+    group = f"count-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # The status tracker is fed by the listener bus, which runs behind.
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestSparkReads:
+    """Spark reads the Fig 3 stream once: the VOS build is the only Spark
+    work in ``run_accuracy``."""
+
+    ARGS = dict(k_reg=16, n_checkpoints=3, top_n=6, seed=2)
+
+    def test_baselines_run_no_spark_job(self, spark):
+        methods = ("minhash", "oph", "rp")
+        n = jobs_in_group(
+            spark, lambda: harness.run_accuracy(spark, "tiny", methods=methods, **self.ARGS)
+        )
+        assert n == 0
+
+    def test_all_methods_run_only_the_vos_build(self, spark):
+        from repro.core import vos
+        from repro.streams import datasets, generator
+
+        a = self.ARGS
+        stream, spec = datasets.make_stream("tiny", seed=a["seed"])
+        cps = [round(len(stream) * (i + 1) / a["n_checkpoints"]) for i in range(a["n_checkpoints"])]
+        params = vos.VOSParams.paper_budget(spec.n_users, k_reg=a["k_reg"], lam=2, seed=a["seed"] + 7)
+        at = np.unique(vos.user_positions(exact.top_users(stream, a["top_n"]), params))
+        build = jobs_in_group(
+            spark,
+            lambda: vos.build_bit_arrays(generator.to_spark(spark, stream), params, cps, at=at),
+        )
+        assert build > 0
+        n = jobs_in_group(spark, lambda: harness.run_accuracy(spark, "tiny", **a))
+        assert n == build
 
 
 class TestEstimateHelpers:
