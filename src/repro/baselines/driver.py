@@ -7,7 +7,7 @@ users (the paper's largest-cardinality selection) need sketches for
 estimation, and their rows are few: the harness filters them once from
 the generated stream's frame on the driver (``exact.tracked_rows``), and
 the same rows feed the exact truth and this replay. A Spark stream is
-read through the same function, in one narrow collect.
+read through the same function, collected once by ``exact.stream_rows``.
 
 ``sketch_snapshots`` sorts the rows by (user, t) and hands each user's
 sub-stream to every requested method's kernel in turn. Each kernel's
@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
+from ..common import prefix
 from . import exact, minhash, oph, rp
 
 METHOD_KERNELS = {
@@ -52,14 +53,16 @@ def sketch_snapshots(
     or a sequence of names; every requested method replays each user's
     sub-stream in the same pass. ``regs`` holds sampled item ids, −1 for
     an empty register. The snapshot at checkpoint c reflects all of the
-    user's edges with t ≤ c.
+    user's edges with t ≤ c. Raises ``ValueError`` if the checkpoints
+    decrease.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     for name in methods:
         if name not in METHOD_KERNELS:
             raise ValueError(f"unknown method {name!r}; one of {sorted(METHOD_KERNELS)}")
     methods = sorted(set(methods))
-    cps = np.sort(np.asarray(checkpoints, dtype=np.int64))
+    cps = np.asarray(checkpoints, dtype=np.int64)
+    prefix.prefix_parity([], [], cps)  # reject decreasing checkpoints before any replay
     users = np.unique(np.asarray(users, dtype=np.int64))
     rows = exact.tracked_rows(edges, users).sort_values(["user", "t"])
     user_col = rows["user"].to_numpy(np.int64)

@@ -5,25 +5,21 @@ of (u, i, ·) elements with arrival ≤ t is odd (insertions and deletions
 of an edge strictly alternate). Every exact quantity derives from that
 parity rule:
 
-* ``present`` / ``cardinalities`` — the final state as Spark DataFrames
-  (one parity aggregation).
-* ``top_users`` — the paper's §V users: the largest final cardinalities
-  (on a pandas frame the top-n runs in pandas; on a Spark stream it runs
-  in Spark, so only the chosen users reach the driver).
+* ``top_users`` — the paper's §V users: the largest final cardinalities.
 * ``tracked_rows`` — the tracked users' raw (user, item, t, action) rows,
   shared by the exact truth and the baseline replay
   (``driver.sketch_snapshots``). The harness filters them from the
-  generated stream's pandas frame, which the driver already holds; on a
-  Spark stream they come back in one narrow collect.
+  generated stream's pandas frame, which the driver already holds.
 * ``select_tracked`` — the top-n users and the pairs among them sharing
   ≥ 1 item at the end.
 * ``exact_over_time`` — the evaluation path: s, n_u, n_v and J of the
   tracked pairs at every checkpoint.
 * ``infeasible_events`` — the rows that break the parity rule's premise.
 
-The tracked-user functions take ``edges`` as a Spark stream or as a
-pandas frame of stream rows (e.g. ``tracked_rows``' output); a Spark
-stream is read through ``tracked_rows``. Every checkpoint's membership
+The tracked-user functions take ``edges`` as a pandas frame of stream
+rows (the whole stream or ``tracked_rows``' output) or as a Spark
+stream, which ``stream_rows`` collects once into such a frame: every
+exact result runs the same pandas code. Every checkpoint's membership
 comes from ``prefix.prefix_parity`` and every pair overlap from a
 membership-matrix product on the driver (``_overlaps``): tracked users
 are a few dozen, their distinct items a few thousand.
@@ -36,7 +32,6 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from ..common import prefix
 from ..core import estimator
@@ -46,19 +41,13 @@ Edges = DataFrame | pd.DataFrame
 ROW_COLUMNS = ("user", "item", "t", "action")
 
 
-def present(edges: DataFrame) -> DataFrame:
-    """Edges present at the stream end (columns user, item) via parity."""
-    return (
-        edges.groupBy("user", "item")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .where(F.col("cnt") % 2 == 1)
-        .select("user", "item")
-    )
-
-
-def cardinalities(edges: DataFrame) -> DataFrame:
-    """|S_u| at the stream end, one row per user with a non-empty set."""
-    return present(edges).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
+def stream_rows(edges: Edges) -> pd.DataFrame:
+    """``edges`` as a pandas frame of stream rows: a Spark stream's
+    (user, item, t, action) columns in one collect, a pandas frame as it
+    is."""
+    if isinstance(edges, pd.DataFrame):
+        return edges
+    return edges.select(*ROW_COLUMNS).toPandas()
 
 
 def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -76,24 +65,17 @@ def top_users(edges: Edges, top_n: int) -> np.ndarray:
     """Paper §V users: the ``top_n`` largest final cardinalities, ties
     broken by user id, as ascending int64 ids. Users whose set is empty at
     the end are never chosen."""
-    if isinstance(edges, pd.DataFrame):
-        odd = edges.groupby(["user", "item"]).size() % 2 == 1
-        card = odd[odd].groupby(level="user").size().rename("n").reset_index()
-        top = card.sort_values(["n", "user"], ascending=[False, True]).head(top_n)
-    else:
-        top = cardinalities(edges).orderBy(F.desc("n"), "user").limit(top_n).toPandas()
+    odd = stream_rows(edges).groupby(["user", "item"]).size() % 2 == 1
+    card = odd[odd].groupby(level="user").size().rename("n").reset_index()
+    top = card.sort_values(["n", "user"], ascending=[False, True]).head(top_n)
     return np.sort(top["user"].to_numpy(np.int64))
 
 
 def tracked_rows(edges: Edges, users) -> pd.DataFrame:
-    """The (user, item, t, action) rows of ``users``, in no set order.
-
-    On a Spark stream this is one narrow collect; a pandas frame of
-    stream rows is filtered on the driver."""
-    users = np.asarray(users, dtype=np.int64)
-    if isinstance(edges, pd.DataFrame):
-        return edges.loc[edges["user"].isin(users), list(ROW_COLUMNS)]
-    return edges.where(F.col("user").isin(users.tolist())).select(*ROW_COLUMNS).toPandas()
+    """The (user, item, t, action) rows of ``users``, in no set order,
+    filtered on the driver from ``stream_rows(edges)``."""
+    rows = stream_rows(edges)
+    return rows.loc[rows["user"].isin(np.asarray(users, dtype=np.int64)), list(ROW_COLUMNS)]
 
 
 def infeasible_events(rows: pd.DataFrame) -> pd.DataFrame:
@@ -146,10 +128,12 @@ def select_tracked(
     Returns (tracked user ids ascending, pairs DataFrame with int64
     columns u, v, s_final sorted by (u, v)) — the pairs among the
     ``top_users`` that share at least one item when the whole stream
-    has arrived.
+    has arrived. A Spark stream is collected once, so the top-n and the
+    overlaps read the same frame.
     """
-    users = top_users(edges, top_n)
-    _, S = _overlaps(edges, users, [np.iinfo(np.int64).max])
+    rows = stream_rows(edges)
+    users = top_users(rows, top_n)
+    _, S = _overlaps(rows, users, [np.iinfo(np.int64).max])
     iu, iv = np.triu_indices(len(users), 1)
     s = S[0, iu, iv]
     keep = s > 0

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
-from ..baselines import minhash, oph, rp
+from ..baselines import driver
 from ..core import vos
 from ..streams import datasets
 
@@ -67,13 +67,10 @@ def make_runner(method: str, k: int, seed: int = 7) -> Callable:
                 kern.update(u, i, a)
 
         return run
-    if method == "minhash":
-        return _per_user_runner(lambda u: minhash.MinHashKernel(k, seed))
-    if method == "oph":
-        return _per_user_runner(lambda u: oph.OPHKernel(k, seed))
-    if method == "rp":
-        return _per_user_runner(lambda u: rp.RPKernel(k, seed, user=u))
-    raise ValueError(f"unknown method {method!r}")
+    if method not in driver.METHOD_KERNELS:
+        raise ValueError(f"unknown method {method!r}")
+    kernel = driver.METHOD_KERNELS[method]
+    return _per_user_runner(lambda u: kernel(u, k, seed))
 
 
 def edges_for(method: str, k: int, *, budget_ops: int = 4_000_000, cap: int = 20_000) -> int:

@@ -128,3 +128,11 @@ class TestMatrix:
     def test_unknown_method_raises(self, tiny_stream_sdf):
         with pytest.raises(ValueError, match="unknown method"):
             driver.sketch_snapshots(tiny_stream_sdf, [1], [10], "bogus", 8, 0)
+
+
+class TestCheckpointOrder:
+    def test_decreasing_checkpoints_raise(self, tiny_stream_pdf, tracked_users):
+        """As in ``exact_over_time`` and ``vos.build_bit_arrays``: sorting
+        them instead would label the state at t = 800 as ckpt 0."""
+        with pytest.raises(ValueError, match="non-decreasing"):
+            driver.sketch_snapshots(tiny_stream_pdf, tracked_users, [2400, 800, 1600], "minhash", 8, 0)

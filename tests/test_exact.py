@@ -3,11 +3,12 @@ cross-checked against DuckDB via the oracle."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines import exact
 from repro.oracle import assert_equivalent
 from repro.streams import datasets, generator
+
+from .test_harness import jobs_in_group
 
 PRESENT_SQL = """
     SELECT "user", item FROM (
@@ -35,6 +36,14 @@ TRUTH_SQL = """
     LEFT JOIN n nu ON nu.ckpt = cps.ckpt AND nu."user" = pairs.u
     LEFT JOIN n nv ON nv.ckpt = cps.ckpt AND nv."user" = pairs.v
 """
+
+
+def top_sql(top_n: int) -> str:
+    """The ``top_n`` users by final parity cardinality, ties by user id."""
+    return f"""
+        SELECT "user" FROM ({PRESENT_SQL})
+        GROUP BY "user" ORDER BY count(*) DESC, "user" LIMIT {top_n}
+    """
 
 
 def ties_and_emptied_user() -> pd.DataFrame:
@@ -78,37 +87,6 @@ class OnCollectedRows:
         return rows
 
 
-class TestPresent:
-    def test_full_stream_default(self, tiny_stream_sdf, tiny_stream_pdf):
-        sql = PRESENT_SQL
-        assert_equivalent(exact.present(tiny_stream_sdf), sql, stream=tiny_stream_pdf)
-
-    def test_matches_pandas_net_state(self, tiny_stream_sdf, tiny_stream_pdf):
-        got = set(map(tuple, exact.present(tiny_stream_sdf).collect()))
-        ns = generator.net_state(tiny_stream_pdf)
-        assert got == set(map(tuple, ns[["user", "item"]].values))
-
-
-class TestCardinalities:
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
-        inner = PRESENT_SQL
-        assert_equivalent(
-            exact.cardinalities(tiny_stream_sdf),
-            f'SELECT "user", COUNT(*) AS n FROM ({inner}) GROUP BY "user"',
-            stream=tiny_stream_pdf,
-        )
-
-    def test_equals_action_sum(self, tiny_stream_sdf):
-        """Parity cardinality == running Σ action (feasibility check)."""
-        card = {r["user"]: r["n"] for r in exact.cardinalities(tiny_stream_sdf).collect()}
-        sums = {
-            r["user"]: r["s"]
-            for r in tiny_stream_sdf.groupBy("user").agg(F.sum("action").alias("s")).collect()
-        }
-        for u, s in sums.items():
-            assert card.get(u, 0) == s
-
-
 class TestSelectTracked(OnSparkStream):
     def test_top_n_by_cardinality(self, edges, tiny_stream_pdf):
         users, pairs = exact.select_tracked(edges, 8)
@@ -135,10 +113,7 @@ class TestSelectTracked(OnSparkStream):
         """Users: top-n by final parity cardinality, ties by user id;
         pairs: those among them with s ≥ 1, int64 and sorted by (u, v)."""
         users, pairs = exact.select_tracked(edges, top_n)
-        top = f"""
-            SELECT "user" FROM ({PRESENT_SQL})
-            GROUP BY "user" ORDER BY count(*) DESC, "user" LIMIT {top_n}
-        """
+        top = top_sql(top_n)
         assert_equivalent(
             spark.createDataFrame(pd.DataFrame({"user": users})), top, stream=tiny_stream_pdf
         )
@@ -182,32 +157,42 @@ class TestSelectTrackedOnRows(OnCollectedRows, TestSelectTracked):
 
 
 class TestTopUsers:
-    """The pandas top-n (the harness's path) equals the Spark top-n."""
+    """The top-n (the harness's path) equals DuckDB's."""
 
-    def test_tiny_every_n(self, tiny_stream_sdf, tiny_stream_pdf):
+    @staticmethod
+    def check(spark, stream, n):
+        got = exact.top_users(stream, n)
+        assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+        assert_equivalent(spark.createDataFrame(pd.DataFrame({"user": got})), top_sql(n), stream=stream)
+        return got
+
+    def test_tiny_every_n(self, spark, tiny_stream_pdf):
         n_users = generator.net_state(tiny_stream_pdf)["user"].nunique()
         for n in range(1, n_users + 1):
-            got = exact.top_users(tiny_stream_pdf, n)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, exact.top_users(tiny_stream_sdf, n), err_msg=f"n={n}")
+            self.check(spark, tiny_stream_pdf, n)
 
     def test_tie_across_the_cut_and_emptied_user(self, spark):
         """Users 3, 5 and 7 tie on |S| = 2 across the cut at n = 2 and
         n = 3; deletions empty user 2's set, so no n returns it."""
         stream = ties_and_emptied_user()
-        sdf = generator.to_spark(spark, stream)
         for n in range(1, 8):
-            got = exact.top_users(stream, n)
-            np.testing.assert_array_equal(got, exact.top_users(sdf, n), err_msg=f"n={n}")
-            assert 2 not in got
+            assert 2 not in self.check(spark, stream, n)
         assert exact.top_users(stream, 2).tolist() == [1, 3]
 
     @pytest.mark.parametrize("name", ["youtube", "flickr", "orkut", "livejournal"])
     def test_datasets(self, spark, name):
         stream, _ = datasets.make_stream(name, seed=0)
-        got = exact.top_users(stream, 50)
-        assert len(got) == 50
-        np.testing.assert_array_equal(got, exact.top_users(generator.to_spark(spark, stream), 50))
+        assert len(self.check(spark, stream, 50)) == 50
+
+    def test_equals_action_sum(self, tiny_stream_pdf):
+        """Parity cardinality == running Σ action (feasibility check): for
+        every n, the top-n users are the n largest positive Σ action,
+        ties by user id."""
+        sums = tiny_stream_pdf.groupby("user")["action"].sum().reset_index()
+        ranked = sums[sums["action"] > 0].sort_values(["action", "user"], ascending=[False, True])
+        for n in range(1, len(sums) + 2):
+            want = np.sort(ranked["user"].to_numpy(np.int64)[:n])
+            np.testing.assert_array_equal(exact.top_users(tiny_stream_pdf, n), want, err_msg=f"n={n}")
 
 
 class TestTrackedRows:
@@ -225,14 +210,21 @@ class TestTrackedRows:
 
     @pytest.mark.parametrize("top_n", [5, 8, 20])
     def test_selection_from_the_top_users_rows(self, tiny_stream_sdf, top_n):
-        """The Spark-input composition: the top-n in Spark, one collect of
-        those users' rows, then the selection on the rows alone."""
+        """A Spark stream, collected once, and the top-n users' rows alone
+        give the same selection."""
         users, pairs = exact.select_tracked(tiny_stream_sdf, top_n)
         assert (exact.top_users(tiny_stream_sdf, top_n) == users).all()
         rows = exact.tracked_rows(tiny_stream_sdf, users)
         got_users, got_pairs = exact.select_tracked(rows, top_n)
         assert got_users.dtype == np.int64 and (got_users == users).all()
         pd.testing.assert_frame_equal(got_pairs, pairs)
+
+
+class TestSparkInput:
+    def test_select_tracked_reads_the_stream_once(self, spark, tiny_stream_sdf):
+        """A Spark stream is collected in one job; the top-n and the
+        overlaps read the same frame."""
+        assert jobs_in_group(spark, lambda: exact.select_tracked(tiny_stream_sdf, 8)) == 1
 
 
 class TestInfeasibleEvents:

@@ -87,7 +87,8 @@ class TestRunAccuracy:
 
     def test_equals_spark_input_path(self, spark, tiny_results):
         """The table equals one built with the selection, the exact truth
-        and the baseline replay each reading the Spark stream."""
+        and the baseline replay each given the Spark stream, which each
+        collects into pandas rows (``exact.stream_rows``)."""
         import pandas as pd
 
         from repro.baselines import driver
