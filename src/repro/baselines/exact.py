@@ -152,8 +152,10 @@ def exact_over_time(
     ``users`` may be in any order but must hold every user in ``pairs``.
     Rows come in (ckpt, ``pairs`` row) order: row ``ci·len(pairs) + r``
     is pair ``r`` at checkpoint ``ci``, so each column reshapes to
-    (n_checkpoints, n_pairs).
+    (n_checkpoints, n_pairs). Raises ``ValueError`` if the checkpoints
+    decrease.
     """
+    prefix.prefix_parity([], [], checkpoints)  # reject decreasing checkpoints before reading edges
     n, S = _overlaps(edges, users, checkpoints)
     iu, iv = pair_indices(users, pairs)
     n_ckpt = len(checkpoints)

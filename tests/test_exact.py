@@ -109,16 +109,14 @@ class TestSelectTracked(OnSparkStream):
         assert p1.equals(p2)
 
     @pytest.mark.parametrize("top_n", [5, 20])
-    def test_vs_duckdb(self, spark, edges, tiny_stream_pdf, top_n):
+    def test_vs_duckdb(self, edges, tiny_stream_pdf, top_n):
         """Users: top-n by final parity cardinality, ties by user id;
         pairs: those among them with s ≥ 1, int64 and sorted by (u, v)."""
         users, pairs = exact.select_tracked(edges, top_n)
         top = top_sql(top_n)
+        assert_equivalent(pd.DataFrame({"user": users}), top, stream=tiny_stream_pdf)
         assert_equivalent(
-            spark.createDataFrame(pd.DataFrame({"user": users})), top, stream=tiny_stream_pdf
-        )
-        assert_equivalent(
-            spark.createDataFrame(pairs),
+            pairs,
             f"""
             WITH p AS (
                 SELECT * FROM ({PRESENT_SQL})
@@ -160,29 +158,29 @@ class TestTopUsers:
     """The top-n (the harness's path) equals DuckDB's."""
 
     @staticmethod
-    def check(spark, stream, n):
+    def check(stream, n):
         got = exact.top_users(stream, n)
         assert got.dtype == np.int64 and (np.diff(got) > 0).all()
-        assert_equivalent(spark.createDataFrame(pd.DataFrame({"user": got})), top_sql(n), stream=stream)
+        assert_equivalent(pd.DataFrame({"user": got}), top_sql(n), stream=stream)
         return got
 
-    def test_tiny_every_n(self, spark, tiny_stream_pdf):
+    def test_tiny_every_n(self, tiny_stream_pdf):
         n_users = generator.net_state(tiny_stream_pdf)["user"].nunique()
         for n in range(1, n_users + 1):
-            self.check(spark, tiny_stream_pdf, n)
+            self.check(tiny_stream_pdf, n)
 
-    def test_tie_across_the_cut_and_emptied_user(self, spark):
+    def test_tie_across_the_cut_and_emptied_user(self):
         """Users 3, 5 and 7 tie on |S| = 2 across the cut at n = 2 and
         n = 3; deletions empty user 2's set, so no n returns it."""
         stream = ties_and_emptied_user()
         for n in range(1, 8):
-            assert 2 not in self.check(spark, stream, n)
+            assert 2 not in self.check(stream, n)
         assert exact.top_users(stream, 2).tolist() == [1, 3]
 
     @pytest.mark.parametrize("name", ["youtube", "flickr", "orkut", "livejournal"])
-    def test_datasets(self, spark, name):
+    def test_datasets(self, name):
         stream, _ = datasets.make_stream(name, seed=0)
-        assert len(self.check(spark, stream, 50)) == 50
+        assert len(self.check(stream, 50)) == 50
 
     def test_equals_action_sum(self, tiny_stream_pdf):
         """Parity cardinality == running Σ action (feasibility check): for
@@ -279,7 +277,7 @@ class TestExactOverTime(OnSparkStream):
         assert (merged["s"] == merged["s_final"]).all()
 
     @pytest.mark.parametrize("n_ckpt", [2, 70])
-    def test_vs_duckdb(self, spark, edges, tiny_stream_pdf, tracked, n_ckpt):
+    def test_vs_duckdb(self, edges, tiny_stream_pdf, tracked, n_ckpt):
         """Two cuts, and 70: more than one long's worth of checkpoints."""
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
@@ -287,7 +285,7 @@ class TestExactOverTime(OnSparkStream):
         out = exact.exact_over_time(edges, users, pairs, cps)
         cols = ["u", "v", "ckpt", "s", "n_u", "n_v"]
         assert_equivalent(
-            spark.createDataFrame(out[cols]),
+            out[cols],
             TRUTH_SQL,
             stream=tiny_stream_pdf,
             pairs=pairs[["u", "v"]],

@@ -44,12 +44,14 @@ class TestOracleIntegration:
         )
 
     def test_oracle_catches_wrong_result(self, tiny_stream_sdf, tiny_stream_pdf):
-        """The oracle must fail loudly on a wrong Spark answer."""
+        """The oracle must fail loudly on a wrong answer, given as a Spark
+        or a pandas frame."""
         wrong = set_sizes(tiny_stream_sdf).withColumn(
             "n", F.col("n") + 1  # off-by-one on purpose
         )
-        with pytest.raises(AssertionError):
-            assert_equivalent(wrong, CARD_SQL, stream=tiny_stream_pdf)
+        for result in (wrong, wrong.toPandas()):
+            with pytest.raises(AssertionError):
+                assert_equivalent(result, CARD_SQL, stream=tiny_stream_pdf)
 
     def test_oracle_catches_column_mismatch(self, tiny_stream_sdf, tiny_stream_pdf):
         q = set_sizes(tiny_stream_sdf).withColumnRenamed("n", "wrong_name")

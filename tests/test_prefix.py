@@ -8,6 +8,8 @@ from repro.baselines import exact
 from repro.common import prefix
 from repro.core import vos
 
+from .test_harness import jobs_in_group
+
 
 def naive(keys, t, checkpoints):
     """For each checkpoint, the bincount of the keys with t ≤ c, mod 2."""
@@ -69,14 +71,19 @@ class TestPrefixParity:
 
 class TestDecreasingCheckpointsRejected:
     """Both builds reject decreasing checkpoints with a ValueError before
-    any result is returned."""
+    they read the stream."""
 
     def test_build_bit_arrays(self, tiny_stream_sdf):
         params = vos.VOSParams(k=64, m=4096, seed=7)
         with pytest.raises(ValueError):
             vos.build_bit_arrays(tiny_stream_sdf, params, [2000, 1000])
 
-    def test_exact_over_time(self, tiny_stream_sdf):
+    def test_exact_over_time(self, spark, tiny_stream_sdf):
+        """The check runs before the Spark stream is read: no Spark job."""
         users, pairs = exact.select_tracked(tiny_stream_sdf, 5)
-        with pytest.raises(ValueError):
-            exact.exact_over_time(tiny_stream_sdf, users, pairs, [2000, 1000])
+
+        def call():
+            with pytest.raises(ValueError, match="non-decreasing"):
+                exact.exact_over_time(tiny_stream_sdf, users, pairs, [2000, 1000])
+
+        assert jobs_in_group(spark, call) == 0
