@@ -29,13 +29,17 @@ def main(argv=None) -> int:
 
     from repro.eval import harness
 
-    spark = (
-        SparkSession.builder.appName("fig3-accuracy")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.shuffle.partitions", "16")
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("ERROR")
+    # A running session (a caller's, or the tests') is used as it is; the
+    # job's settings go only on a session it starts itself.
+    spark = SparkSession.getActiveSession()
+    if spark is None:
+        spark = (
+            SparkSession.builder.appName("fig3-accuracy")
+            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+            .config("spark.sql.shuffle.partitions", "16")
+            .getOrCreate()
+        )
+        spark.sparkContext.setLogLevel("ERROR")
 
     names = args.datasets.split(",")
     frames = [

@@ -3,11 +3,11 @@
 All sketches in this reproduction (VOS, MinHash, OPH) need hash
 functions that are (a) deterministic across Spark workers — a pure
 function of ``(value, seed)``, never process-local state — and
-(b) vectorised, because they run inside ``pandas_udf`` bodies over
-numpy arrays. We use splitmix64, a well-mixed 64-bit finaliser whose
-collision probability over the id ranges used here (< 2^24 ids) is
-negligible, so a hash value stands in for the paper's "random
-permutation" of the item universe.
+(b) vectorised, because they run over whole numpy arrays, inside
+``pandas_udf`` bodies or on the driver. We use splitmix64, a
+well-mixed 64-bit finaliser whose collision probability over the id
+ranges used here (< 2^24 ids) is negligible, so a hash value stands in
+for the paper's "random permutation" of the item universe.
 
 Families provided:
 

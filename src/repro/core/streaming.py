@@ -10,7 +10,8 @@ any time is the parity of the number of flips each position has seen —
 the same argument the paper makes for order-independence of A, and the
 one the batch build uses (``prefix.prefix_parity``). The stream is
 hashed to positions with the same ``pandas_udf`` the batch build uses
-and fed through Spark's built-in streaming ``groupBy("pos").count()``:
+for a Spark stream (``vos.with_positions``) and fed through Spark's
+built-in streaming ``groupBy("pos").count()``:
 its state is one row per touched position holding that position's flip
 count, a micro-batch with e edges updates at most e state rows, and the
 stateful stage runs no Python. The result is bit-exact equal to the

@@ -10,11 +10,15 @@ Because xor is commutative and associative, the state of A at time t is
 the *parity of the flip count per position* over all edges with
 arrival ≤ t. So ``build_bit_arrays`` only routes each edge's (pos, t)
 to the partition that owns its position, and there
-``prefix.prefix_parity`` gives A at every checkpoint in one pass. The
-estimator reads only β and the tracked users' bits Ô_u[j] = A[f_j(u)],
-so the build counts the 1-bits on the executors and, given the
-positions it should return, sends the driver bits at those positions
-only: the bytes collected scale with tracked users × k, not with m.
+``prefix.prefix_parity`` gives A at every checkpoint in one pass. Its
+edges come as a Spark stream, hashed in a ``pandas_udf``
+(``with_positions``), or as a pandas frame of stream rows already on the
+driver, hashed there in one vectorised call so that Spark receives only
+(pos, t) and runs a single Python stage. The estimator reads only β and
+the tracked users' bits Ô_u[j] = A[f_j(u)], so the build counts the
+1-bits on the executors and, given the positions it should return,
+sends the driver bits at those positions only: the bytes collected
+scale with tracked users × k, not with m.
 ``VOSKernel`` is the paper's sequential O(1) update loop, used for the
 runtime experiment (Fig 2) and as the reference the distributed builds
 are tested against; the Structured Streaming operator lives in
@@ -27,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+import pyarrow as pa
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -69,13 +74,38 @@ def with_positions(edges: DataFrame, params: VOSParams) -> DataFrame:
     return edges.withColumn("pos", pos_udf("user", "item"))
 
 
+def _positions_and_times(edges: DataFrame | pd.DataFrame, params: VOSParams) -> DataFrame:
+    """The (pos, t) rows of ``edges`` as a Spark frame. A pandas frame is
+    hashed on the driver and its two columns go to the active session as
+    one Arrow table over the numpy arrays, which the driver drops once
+    they are shipped. A Spark stream is hashed in its own Python stage by
+    ``with_positions``."""
+    if not isinstance(edges, pd.DataFrame):
+        return with_positions(edges, params).select("pos", "t")
+    pos = hashing.vos_positions(
+        edges["user"].to_numpy(np.int64),
+        edges["item"].to_numpy(np.int64),
+        params.k,
+        params.m,
+        params.seed,
+    )
+    pos_t = pa.table({"pos": pos, "t": edges["t"].to_numpy(np.int64)})
+    return SparkSession.active().createDataFrame(pos_t)
+
+
 def build_bit_arrays(
-    edges: DataFrame,
+    edges: DataFrame | pd.DataFrame,
     params: VOSParams,
     checkpoints: Sequence[int],
     at: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build A at each checkpoint time in one distributed pass.
+
+    ``edges`` is a Spark stream or a pandas frame of stream rows (the
+    ``exact.Edges`` convention). A pandas frame is hashed on the driver
+    and only its (pos, t) go to Spark, in the active session, so the
+    build runs one Python stage; a Spark stream is hashed in a
+    ``pandas_udf`` stage before the shuffle.
 
     Returns ``(bits, beta)``. ``beta[c]`` is the fraction of 1-bits in
     A at checkpoint c. ``bits`` is a uint8 matrix with one row per
@@ -117,8 +147,7 @@ def build_bit_arrays(
         yield pd.DataFrame([[-1, *bits.sum(axis=1)]], columns=["pos", *cols])
 
     rows = (
-        with_positions(edges, params)
-        .select("pos", "t")
+        _positions_and_times(edges, params)
         .repartition("pos")  # every row of a position lands in one partition
         .mapInPandas(emit, schema)
         .toPandas()

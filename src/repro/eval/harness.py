@@ -19,14 +19,14 @@ from pyspark.sql import SparkSession
 
 from ..baselines import driver, exact, minhash, oph, rp
 from ..core import estimator, vos
-from ..streams import datasets, generator
+from ..streams import datasets
 from . import metrics
 
 METHODS = ("vos", "minhash", "oph", "rp")
 
 
 def estimate_vos(
-    edges,
+    edges: exact.Edges,
     users: np.ndarray,
     pairs: pd.DataFrame,
     n_u: np.ndarray,
@@ -38,9 +38,11 @@ def estimate_vos(
     (n_checkpoints, n_pairs) array with columns in the row order of
     ``pairs``.
 
-    ``n_u``/``n_v`` are the exact counters in that shape. Only the
-    tracked users' positions are built, so the sketches are read through
-    the index of each f_j(u) into those positions."""
+    ``edges`` is a Spark stream or a pandas frame of stream rows, as
+    ``vos.build_bit_arrays`` takes it. ``n_u``/``n_v`` are the exact
+    counters in that shape. Only the tracked users' positions are built,
+    so the sketches are read through the index of each f_j(u) into those
+    positions."""
     pos = vos.user_positions(users, params)
     at, slot = np.unique(pos, return_inverse=True)
     bits, betas = vos.build_bit_arrays(edges, params, checkpoints, at=at)
@@ -104,6 +106,8 @@ def run_accuracy(
 
     Returns a long table: dataset, method, ckpt, t, n_pairs, aape,
     armse. Checkpoint times are i/n_checkpoints of the stream length.
+    The VOS build runs in the active Spark session, which ``spark``
+    names; with ``methods`` free of ``"vos"`` no Spark job runs.
     """
     stream_pdf, spec = datasets.make_stream(dataset, seed=seed)
     total = len(stream_pdf)
@@ -119,7 +123,8 @@ def run_accuracy(
         )
     # The stream is already a frame on the driver: the top-n and the
     # tracked users' rows come from it, and those rows feed the exact
-    # truth and the baseline replay. Only the VOS build runs in Spark.
+    # truth and the baseline replay. Only the VOS build runs in Spark:
+    # it hashes the frame here and ships each edge's (pos, t).
     rows = exact.tracked_rows(stream_pdf, exact.top_users(stream_pdf, top_n))
     users, pairs = exact.select_tracked(rows, top_n)
     truth = exact.exact_over_time(rows, users, pairs, checkpoints)
@@ -140,8 +145,7 @@ def run_accuracy(
     table = []
     for method in methods:
         if method == "vos":
-            edges = generator.to_spark(spark, stream_pdf)
-            s_hat, j_hat = estimate_vos(edges, users, pairs, n_u, n_v, checkpoints, params)
+            s_hat, j_hat = estimate_vos(stream_pdf, users, pairs, n_u, n_v, checkpoints, params)
         else:
             s_hat, j_hat = estimate_baseline(snaps, users, pairs, n_u, n_v, method, k_reg)
         for ci, t in enumerate(checkpoints):

@@ -175,7 +175,7 @@ class TestSparkReads:
 
     def test_all_methods_run_only_the_vos_build(self, spark):
         from repro.core import vos
-        from repro.streams import datasets, generator
+        from repro.streams import datasets
 
         a = self.ARGS
         stream, spec = datasets.make_stream("tiny", seed=a["seed"])
@@ -184,7 +184,7 @@ class TestSparkReads:
         at = np.unique(vos.user_positions(exact.top_users(stream, a["top_n"]), params))
         build = jobs_in_group(
             spark,
-            lambda: vos.build_bit_arrays(generator.to_spark(spark, stream), params, cps, at=at),
+            lambda: vos.build_bit_arrays(stream, params, cps, at=at),
         )
         assert build > 0
         n = jobs_in_group(spark, lambda: harness.run_accuracy(spark, "tiny", **a))

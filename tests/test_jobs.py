@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pandas as pd
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 JOBS = ROOT / "jobs"
@@ -99,3 +100,36 @@ class TestStreamDemoJob:
         assert "beta=" in out and "s_true=" in out
         for field in ("input_rows=", "trigger_ms=", "state_rows=", "state_bytes="):
             assert out.count(field) == 2, field
+
+
+@pytest.mark.parametrize(
+    "job, argv",
+    [
+        (
+            "fig3_accuracy",
+            ["--datasets", "tiny", "--k-reg", "16", "--top-n", "5", "--checkpoints", "2"],
+        ),
+        ("stream_demo", ["--dataset", "tiny", "--batches", "2", "--k-reg", "16"]),
+    ],
+)
+def test_job_leaves_the_running_session_as_it_is(spark, tmp_path, job, argv):
+    """Given a running session, a job uses it as it is: its own shuffle
+    partitions and log level go only on a session it starts itself. The
+    session is first set to values no job uses, so an earlier job that
+    changed it cannot hide the change."""
+    import importlib
+
+    key = "spark.sql.shuffle.partitions"
+    root = spark.sparkContext._jvm.org.apache.logging.log4j.LogManager.getRootLogger()
+    saved = spark.conf.get(key), root.getLevel().toString()
+    spark.conf.set(key, "7")
+    spark.sparkContext.setLogLevel("WARN")
+    try:
+        if job == "fig3_accuracy":
+            argv = [*argv, "--out", str(tmp_path)]
+        assert importlib.import_module(job).main(argv) == 0
+        assert spark.conf.get(key) == "7"
+        assert root.getLevel().toString() == "WARN"
+    finally:
+        spark.conf.set(key, saved[0])
+        spark.sparkContext.setLogLevel(saved[1])

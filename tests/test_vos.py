@@ -1,6 +1,7 @@
 """Tests for the distributed VOS build (repro.core.vos) against the
 sequential kernel and the DuckDB oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -190,6 +191,59 @@ class TestSparseBuild:
             vos.build_bit_arrays(tiny_stream_sdf, PARAMS, [1], at=at)
 
 
+class TestPandasInput:
+    """A pandas frame of stream rows, hashed on the driver, builds the same
+    bits and β as the same stream given to Spark."""
+
+    @pytest.fixture(scope="class")
+    def touched(self, tiny_stream_pdf):
+        from repro.common import hashing
+
+        return np.unique(
+            hashing.vos_positions(
+                tiny_stream_pdf["user"].to_numpy(np.int64),
+                tiny_stream_pdf["item"].to_numpy(np.int64),
+                PARAMS.k,
+                PARAMS.m,
+                PARAMS.seed,
+            )
+        )
+
+    @pytest.mark.parametrize("case", ["dense", "at", "before_first_edge", "empty"])
+    def test_equals_spark_input(self, spark, tiny_stream_pdf, tiny_stream_sdf, touched, case):
+        T = int(tiny_stream_pdf["t"].max())
+        pdf, sdf = tiny_stream_pdf, tiny_stream_sdf
+        cps, at = [T // 4, T // 2, T], None
+        if case == "at":
+            at = touched[::2]
+        elif case == "before_first_edge":
+            cps = [int(tiny_stream_pdf["t"].min()) - 1, T]
+        elif case == "empty":
+            pdf = tiny_stream_pdf.iloc[:0]
+            sdf = spark.createDataFrame([], tiny_stream_sdf.schema)
+            at = touched
+        before = pdf.copy()
+        bits, betas = vos.build_bit_arrays(pdf, PARAMS, cps, at=at)
+        ref_bits, ref_betas = vos.build_bit_arrays(sdf, PARAMS, cps, at=at)
+        assert bits.dtype == ref_bits.dtype and bits.shape == ref_bits.shape
+        assert (bits == ref_bits).all()
+        assert (betas == ref_betas).all()
+        if case == "before_first_edge":
+            assert not bits[0].any() and betas[0] == 0.0
+        if case == "empty":
+            assert not bits.any() and (betas == 0.0).all()
+        pd.testing.assert_frame_equal(pdf, before)
+
+    def test_never_hashes_in_spark(self, monkeypatch, tiny_stream_pdf):
+        def fail(*args, **kwargs):
+            raise AssertionError("with_positions called for a pandas input")
+
+        monkeypatch.setattr(vos, "with_positions", fail)
+        T = int(tiny_stream_pdf["t"].max())
+        bits, _ = vos.build_bit_arrays(tiny_stream_pdf, PARAMS, [T])
+        assert bits.any()
+
+
 class TestRebuild:
     def test_matches_kernel_sketch(self, kernel_ref):
         users = [1, 2, 5, 17]
@@ -247,8 +301,6 @@ class TestEndToEndAccuracy:
         """Full VOS chain on a controlled stream with deletions: the
         estimate lands near the true s (well within the odd-sketch
         error band for these parameters)."""
-        import pandas as pd
-
         params = vos.VOSParams(k=2048, m=1 << 18, seed=3)
         n, s_true = 300, 150
         su = list(range(n))
