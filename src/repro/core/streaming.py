@@ -53,9 +53,10 @@ def start_query(
     ``assemble_bit_array`` to materialise (A, β). Started again with the
     same ``checkpoint_dir`` and ``query_name`` after a stop, the query
     resumes from its checkpoint and reads only files it has not seen.
-    The restarted sink is empty until the first new micro-batch refills
-    it with the whole state. ``n_buckets`` has no effect; it is accepted
-    so existing callers keep working.
+    The restarted sink is empty, and ``assemble_bit_array`` raises, until
+    the first new micro-batch refills it with the whole state.
+    ``n_buckets`` has no effect; it is accepted so existing callers keep
+    working.
     """
     edges = spark.readStream.schema(STREAM_SCHEMA).parquet(input_dir)
     flips = (
@@ -77,8 +78,17 @@ def assemble_bit_array(
 ) -> tuple[np.ndarray, float]:
     """Scatter the memory sink, one (pos, flips) row per touched position,
     into (A, β) with A[pos] = flips & 1. ``n_buckets`` has no effect; it
-    is accepted so existing callers keep working."""
+    is accepted so existing callers keep working.
+
+    Raises ``RuntimeError`` if the sink is empty because the active query
+    of that name resumed from committed batches and has run no batch since
+    (every progress it reports is past batch 0 and ran no aggregation)."""
     sink = spark.table(query_name).toPandas()
+    if sink.empty:
+        for q in spark.streams.active:
+            progress = q.recentProgress if q.name == query_name else []
+            if progress and all(p["batchId"] > 0 and not p["stateOperators"] for p in progress):
+                raise RuntimeError(f"query {query_name!r} resumed and has run no batch since")
     A = np.zeros(params.m, dtype=np.uint8)
     A[sink["pos"].to_numpy(np.int64)] = sink["flips"].to_numpy(np.int64) & 1
     return A, float(A.mean())

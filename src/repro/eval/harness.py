@@ -25,6 +25,18 @@ from . import metrics
 METHODS = ("vos", "minhash", "oph", "rp")
 
 
+def _estimate_checkpoints(stack, users, pairs, n_u, n_v, estimate, *extra):
+    """(ŝ, Ĵ) at every checkpoint c of a (n_checkpoints, len(users), k)
+    sketch stack: ``estimate`` maps the pairs' two (n_pairs, k) sketch
+    matrices, counters and c-th entry of each ``extra`` to (ŝ, Ĵ)."""
+    iu, iv = exact.pair_indices(users, pairs)
+    s_hat = np.empty(n_u.shape)
+    j_hat = np.empty(n_u.shape)
+    for ci, sk in enumerate(stack):
+        s_hat[ci], j_hat[ci] = estimate(sk[iu], sk[iv], n_u[ci], n_v[ci], *(x[ci] for x in extra))
+    return s_hat, j_hat
+
+
 def estimate_vos(
     edges: exact.Edges,
     users: np.ndarray,
@@ -41,21 +53,20 @@ def estimate_vos(
     ``edges`` is a Spark stream or a pandas frame of stream rows, as
     ``vos.build_bit_arrays`` takes it. ``n_u``/``n_v`` are the exact
     counters in that shape. Only the tracked users' positions are built,
-    so the sketches are read through the index of each f_j(u) into those
-    positions."""
+    so indexing the bits with each f_j(u)'s index into them gives the
+    users' Ô_u as a (n_checkpoints, len(users), k) uint8 stack."""
     pos = vos.user_positions(users, params)
     at, slot = np.unique(pos, return_inverse=True)
     bits, betas = vos.build_bit_arrays(edges, params, checkpoints, at=at)
-    slot = slot.reshape(pos.shape)
-    iu, iv = exact.pair_indices(users, pairs)
-    s_hat = np.empty(n_u.shape)
-    j_hat = np.empty(n_u.shape)
-    for ci in range(len(checkpoints)):
-        sk = bits[ci][slot]
-        alpha = estimator.pair_alpha(sk[iu], sk[iv])
-        s_hat[ci] = estimator.estimate_common(n_u[ci], n_v[ci], alpha, betas[ci], params.k)
-        j_hat[ci] = estimator.jaccard_from_common(s_hat[ci], n_u[ci], n_v[ci])
-    return s_hat, j_hat
+
+    def pair_estimates(sk_u, sk_v, nu, nv, beta):
+        alpha = estimator.pair_alpha(sk_u, sk_v)
+        s_hat = estimator.estimate_common(nu, nv, alpha, beta, params.k)
+        return s_hat, estimator.jaccard_from_common(s_hat, nu, nv)
+
+    # Unlike bits[:, slot], take keeps the stack C-contiguous for the row gathers.
+    stack = np.take(bits, slot.reshape(pos.shape), axis=1)
+    return _estimate_checkpoints(stack, users, pairs, n_u, n_v, pair_estimates, betas)
 
 
 _BASELINE_ESTIMATORS = {
@@ -66,29 +77,20 @@ _BASELINE_ESTIMATORS = {
 
 
 def estimate_baseline(
-    snaps: pd.DataFrame,
+    regs: np.ndarray,
     users: np.ndarray,
     pairs: pd.DataFrame,
     n_u: np.ndarray,
     n_v: np.ndarray,
     method: str,
-    k_reg: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint,
     shaped like ``estimate_vos``'s.
 
-    ``snaps`` is a ``driver.sketch_snapshots`` frame holding ``method``
-    (and possibly other methods); ``n_u``/``n_v`` are the exact counters
-    as (n_checkpoints, n_pairs) arrays."""
-    mine = snaps[snaps["method"] == method]
-    est = _BASELINE_ESTIMATORS[method]
-    iu, iv = exact.pair_indices(users, pairs)
-    s_hat = np.empty(n_u.shape)
-    j_hat = np.empty(n_u.shape)
-    for ci in range(len(n_u)):
-        mat = driver.snapshots_to_matrix(mine, users, ci, k_reg)
-        s_hat[ci], j_hat[ci] = est(mat[iu], mat[iv], n_u[ci], n_v[ci])
-    return s_hat, j_hat
+    ``regs`` is ``method``'s (n_checkpoints, len(users), k) register stack
+    from ``driver.sketch_snapshots``; ``n_u``/``n_v`` are the exact
+    counters as (n_checkpoints, n_pairs) arrays."""
+    return _estimate_checkpoints(regs, users, pairs, n_u, n_v, _BASELINE_ESTIMATORS[method])
 
 
 def run_accuracy(
@@ -134,20 +136,16 @@ def run_accuracy(
         for c in ("s", "n_u", "n_v", "j")
     )
     params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
-    # One pass over the tracked rows replays every requested baseline.
-    baselines = tuple(m for m in methods if m != "vos")
-    snaps = (
-        driver.sketch_snapshots(rows, users, checkpoints, baselines, k_reg, seed + 13)
-        if baselines
-        else None
-    )
+    # One call replays every requested baseline over the tracked rows.
+    baselines = [m for m in methods if m != "vos"]
+    snaps = driver.sketch_snapshots(rows, users, checkpoints, baselines, k_reg, seed + 13)
 
     table = []
     for method in methods:
         if method == "vos":
             s_hat, j_hat = estimate_vos(stream_pdf, users, pairs, n_u, n_v, checkpoints, params)
         else:
-            s_hat, j_hat = estimate_baseline(snaps, users, pairs, n_u, n_v, method, k_reg)
+            s_hat, j_hat = estimate_baseline(snaps[method], users, pairs, n_u, n_v, method)
         for ci, t in enumerate(checkpoints):
             table.append(
                 {

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import driver, exact, minhash, oph, rp
+from repro.baselines import driver, exact
+from repro.baselines.replay import EMPTY
 
 CHECKPOINTS = [800, 1600, 2400]
 
@@ -40,16 +41,18 @@ class TestSnapshotEquivalence:
     def test_matches_local_replay(
         self, edges, tiny_stream_pdf, tracked_users, method
     ):
-        """Run-level replay snapshots == sequential replay per user."""
+        """Run-level replay snapshots == sequential replay per user, row i
+        of the stack being ``tracked_users[i]`` (ordered by edge count,
+        not by id)."""
+        assert tracked_users != sorted(tracked_users)
         k, seed = 16, 3
-        snaps = driver.sketch_snapshots(
+        regs = driver.sketch_snapshots(
             edges, tracked_users, CHECKPOINTS, method, k, seed
-        )
-        for u in tracked_users:
+        )[method]
+        for i, u in enumerate(tracked_users):
             ref = local_replay(tiny_stream_pdf, u, method, k, seed, CHECKPOINTS)
             for ci in range(len(CHECKPOINTS)):
-                got = snaps[(snaps["user"] == u) & (snaps["ckpt"] == ci)]["regs"].iloc[0]
-                assert (np.asarray(got) == ref[ci]).all(), f"user {u} ckpt {ci}"
+                assert (regs[ci, i] == ref[ci]).all(), f"user {u} ckpt {ci}"
 
     def test_all_users_all_checkpoints_present(
         self, edges, tracked_users, method
@@ -57,14 +60,15 @@ class TestSnapshotEquivalence:
         snaps = driver.sketch_snapshots(
             edges, tracked_users, CHECKPOINTS, method, 8, 0
         )
-        assert len(snaps) == len(tracked_users) * len(CHECKPOINTS)
+        assert list(snaps) == [method]
+        assert snaps[method].shape == (len(CHECKPOINTS), len(tracked_users), 8)
+        assert snaps[method].dtype == np.int64
 
     def test_edgeless_user_gets_empty_snapshots(self, edges, method):
         ghost = 10_000  # not in the stream
-        snaps = driver.sketch_snapshots(edges, [ghost], CHECKPOINTS, method, 8, 0)
-        assert len(snaps) == len(CHECKPOINTS)
-        for regs in snaps["regs"]:
-            assert (np.asarray(regs) == -1).all()
+        regs = driver.sketch_snapshots(edges, [ghost], CHECKPOINTS, method, 8, 0)[method]
+        assert regs.shape == (len(CHECKPOINTS), 1, 8)
+        assert (regs == EMPTY).all()
 
 
 class TestSnapshotEquivalenceOnRows(TestSnapshotEquivalence):
@@ -84,28 +88,30 @@ class TestMultiMethod:
         together = driver.sketch_snapshots(
             tiny_stream_sdf, tracked_users, CHECKPOINTS, methods, k, seed
         )
-        assert list(together["method"].unique()) == sorted(methods)
+        assert sorted(together) == sorted(methods)
         for method in methods:
             alone = driver.sketch_snapshots(
                 tiny_stream_sdf, tracked_users, CHECKPOINTS, method, k, seed
-            )
-            mine = together[together["method"] == method].reset_index(drop=True)
-            assert (mine[["user", "ckpt"]] == alone[["user", "ckpt"]]).all().all()
-            for a, b in zip(mine["regs"], alone["regs"]):
-                assert (np.asarray(a) == np.asarray(b)).all()
+            )[method]
+            np.testing.assert_array_equal(together[method], alone)
 
     def test_edgeless_user_with_several_methods(self, tiny_stream_sdf, tracked_users):
+        """The edgeless user's row is all ``EMPTY`` in every method's
+        stack; the row beside it is the user's own."""
         ghost = 10_000  # not in the stream
         methods = ("oph", "rp")
         snaps = driver.sketch_snapshots(
             tiny_stream_sdf, [ghost, tracked_users[0]], CHECKPOINTS, methods, 8, 0
         )
-        assert len(snaps) == len(methods) * 2 * len(CHECKPOINTS)
-        empty = snaps[snaps["user"] == ghost]
-        assert sorted(empty["method"].unique()) == list(methods)
-        assert len(empty) == len(methods) * len(CHECKPOINTS)
-        for regs in empty["regs"]:
-            assert (np.asarray(regs) == -1).all()
+        assert sorted(snaps) == list(methods)
+        for method in methods:
+            regs = snaps[method]
+            assert regs.shape == (len(CHECKPOINTS), 2, 8)
+            assert (regs[:, 0] == EMPTY).all()
+            alone = driver.sketch_snapshots(
+                tiny_stream_sdf, [tracked_users[0]], CHECKPOINTS, method, 8, 0
+            )[method]
+            np.testing.assert_array_equal(regs[:, 1:], alone)
 
     def test_unknown_method_in_sequence_raises(self, tiny_stream_sdf):
         with pytest.raises(ValueError, match="unknown method"):
@@ -113,17 +119,19 @@ class TestMultiMethod:
 
 
 class TestMatrix:
-    def test_snapshots_to_matrix_layout(self, tiny_stream_sdf, tracked_users):
-        k = 8
-        snaps = driver.sketch_snapshots(
-            tiny_stream_sdf, tracked_users, CHECKPOINTS, "minhash", k, 0
-        )
-        users_sorted = sorted(tracked_users)
-        mat = driver.snapshots_to_matrix(snaps, users_sorted, 1, k)
-        assert mat.shape == (len(users_sorted), k)
-        for row, u in enumerate(users_sorted):
-            expect = snaps[(snaps["user"] == u) & (snaps["ckpt"] == 1)]["regs"].iloc[0]
-            assert (mat[row] == np.asarray(expect)).all()
+    def test_snapshots_to_matrix_layout(self):
+        """Per-user snapshot lists become a (checkpoint × user × k) int64
+        stack with ``[c, i]`` = user i's registers at checkpoint c, also
+        with no users or no checkpoints."""
+        k, n_cps = 4, 3
+        snaps = [[np.arange(k) + 10 * i + 100 * c for c in range(n_cps)] for i in range(5)]
+        mat = driver.snapshots_to_matrix(snaps, n_cps, k)
+        assert mat.shape == (n_cps, 5, k) and mat.dtype == np.int64
+        for i in range(5):
+            for c in range(n_cps):
+                assert (mat[c, i] == snaps[i][c]).all()
+        assert driver.snapshots_to_matrix([], n_cps, k).shape == (n_cps, 0, k)
+        assert driver.snapshots_to_matrix([[], []], 0, k).shape == (0, 2, k)
 
     def test_unknown_method_raises(self, tiny_stream_sdf):
         with pytest.raises(ValueError, match="unknown method"):

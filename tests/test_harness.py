@@ -112,7 +112,9 @@ class TestRunAccuracy:
             if method == "vos":
                 s_hat, j_hat = harness.estimate_vos(edges, users, pairs, n_u, n_v, cps, params)
             else:
-                s_hat, j_hat = harness.estimate_baseline(snaps, users, pairs, n_u, n_v, method, 32)
+                s_hat, j_hat = harness.estimate_baseline(
+                    snaps[method], users, pairs, n_u, n_v, method
+                )
             rows += [
                 {
                     "dataset": "tiny", "method": method, "ckpt": ci, "t": t,
@@ -142,6 +144,48 @@ class TestRunAccuracy:
         monkeypatch.setattr(harness.datasets, "make_stream", lambda name, seed: (bad, spec))
         with pytest.raises(ValueError, match=f"1 infeasible events.*user {user}, item {item}, t {t}"):
             harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=8, seed=0)
+
+
+    @pytest.mark.parametrize("top_n", [0, 1])
+    def test_no_pairs(self, spark, top_n):
+        """With fewer than two tracked users there is no pair: every
+        method still gives its full checkpoint table, with NaN metrics."""
+        out = harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=3, top_n=top_n, seed=0)
+        assert sorted(zip(out["method"], out["ckpt"])) == sorted(
+            (m, c) for m in harness.METHODS for c in range(3)
+        )
+        assert (out["n_pairs"] == 0).all()
+        assert out["aape"].isna().all() and out["armse"].isna().all()
+
+
+class TestDeletionBias:
+    """The paper's evidence (§III, §V): a deletion empties a MinHash or
+    OPH register and nothing refills it with a uniform sample, so during
+    the deletion burst (checkpoints 5–6 of 10) both underestimate s.
+    ``run_accuracy``'s protocol, built without Spark."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dataset", ["youtube", "livejournal"])
+    def test_minhash_and_oph_underestimate_in_the_burst(self, dataset, seed):
+        from repro.baselines import driver
+        from repro.streams import datasets
+
+        stream, _ = datasets.make_stream(dataset, seed=seed)
+        cps = [round(len(stream) * (i + 1) / 10) for i in range(10)]
+        rows = exact.tracked_rows(stream, exact.top_users(stream, 50))
+        users, pairs = exact.select_tracked(rows, 50)
+        truth = exact.exact_over_time(rows, users, pairs, cps)
+        s, n_u, n_v = (
+            truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs)) for c in ("s", "n_u", "n_v")
+        )
+        methods = ("minhash", "oph")
+        snaps = driver.sketch_snapshots(rows, users, cps, methods, 100, seed + 13)
+        for method in methods:
+            s_hat, _ = harness.estimate_baseline(snaps[method], users, pairs, n_u, n_v, method)
+            for ci in (5, 6):
+                pos = s[ci] > 0
+                rel = np.mean((s_hat[ci][pos] - s[ci][pos]) / s[ci][pos])
+                assert rel < 0, f"{method} ckpt {ci}: mean (ŝ − s)/s = {rel:+.3f}"
 
 
 def jobs_in_group(spark, fn) -> int:

@@ -201,6 +201,32 @@ class TestRestart:
             q.stop()
 
 
+    def test_restart_without_new_file_raises(self, spark, tiny_stream_pdf, tmp_path):
+        """Started again with no new file, the query runs no batch, so
+        the complete-mode sink is empty while the state is not: reading
+        it raises instead of returning A = 0, β = 0. A new file (even an
+        empty one) runs a batch that refills the sink with the state."""
+        indir, ckdir, name = tmp_path / "in", str(tmp_path / "ck"), "vos_idle_restart"
+        indir.mkdir()
+        q = streaming.start_query(spark, str(indir), ckdir, PARAMS, query_name=name)
+        try:
+            A0, beta0 = _drop_and_drain(spark, q, indir, name, tiny_stream_pdf, "b0.parquet")
+            assert A0.any()
+        finally:
+            q.stop()
+
+        q = streaming.start_query(spark, str(indir), ckdir, PARAMS, query_name=name)
+        try:
+            q.processAllAvailable()
+            with pytest.raises(RuntimeError, match=name):
+                streaming.assemble_bit_array(spark, name, PARAMS)
+            empty = tiny_stream_pdf.iloc[:0]
+            A1, beta1 = _drop_and_drain(spark, q, indir, name, empty, "b1.parquet")
+            assert (A1 == A0).all() and beta1 == beta0
+        finally:
+            q.stop()
+
+
 class TestAssemble:
     def test_empty_table_gives_zero_array(self, spark, stream_query):
         q, _, name = stream_query
