@@ -44,10 +44,11 @@ def main(argv=None) -> int:
     stream, spec = datasets.make_stream(args.dataset, seed=args.seed)
     total = len(stream)
     params = vos.VOSParams.paper_budget(spec.n_users, k_reg=args.k_reg)
-    # The tracked users' rows, filtered from the driver's frame, feed the
-    # selection and the truth; the streaming query is the only Spark work.
-    rows = exact.tracked_rows(stream, exact.top_users(stream, 10))
-    users, pairs = exact.select_tracked(rows, top_n=10)
+    # The selection and the tracked users' rows come from the driver's
+    # frame, and the rows feed the truth; the streaming query is the only
+    # Spark work.
+    users, pairs = exact.select_tracked(stream, top_n=10)
+    rows = exact.tracked_rows(stream, users)
     pairs = pairs.sort_values("s_final", ascending=False)
     u, v = int(pairs.iloc[0]["u"]), int(pairs.iloc[0]["v"])
     print(f"[demo] dataset={args.dataset} stream={total} edges, "

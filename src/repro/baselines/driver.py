@@ -6,8 +6,7 @@ paper's point), but users are independent of each other. Only tracked
 users (the paper's largest-cardinality selection) need sketches for
 estimation, and their rows are few: the harness filters them once from
 the generated stream's frame on the driver (``exact.tracked_rows``), and
-the same rows feed the exact truth and this replay. A Spark stream is
-read through the same function, collected once by ``exact.stream_rows``.
+the same rows feed the exact truth and this replay.
 
 ``sketch_snapshots`` sorts the rows by (user, t), hands each user's
 sub-stream to every requested method's kernel, and stacks each method's
@@ -26,6 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 
 from ..common import prefix
 from . import exact, minhash, oph, rp
@@ -38,7 +38,7 @@ METHOD_KERNELS = {
 
 
 def sketch_snapshots(
-    edges: exact.Edges,
+    edges: pd.DataFrame,
     users: Sequence[int],
     checkpoints: Sequence[int],
     method: str | Sequence[str],
@@ -49,10 +49,10 @@ def sketch_snapshots(
     (n_checkpoints, len(users), k), row ``[c, i]`` holding ``users[i]``'s
     registers at checkpoint c, in the order ``users`` is given.
 
-    ``edges`` is a Spark stream or a pandas frame of stream rows; either
-    is read through ``exact.tracked_rows``. ``method`` is one method name
-    or a sequence of names; one call replays each user's sub-stream for
-    every requested method. Registers hold sampled item ids,
+    ``edges`` is a pandas frame of stream rows, read through
+    ``exact.tracked_rows``. ``method`` is one method name or a sequence
+    of names; one call replays each user's sub-stream for every
+    requested method. Registers hold sampled item ids,
     ``replay.EMPTY`` (−1) if empty, so an edgeless user's rows are all
     ``EMPTY``. The snapshot at checkpoint c reflects all of the user's
     edges with t ≤ c. Raises ``ValueError`` if the checkpoints decrease.

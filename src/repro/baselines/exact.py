@@ -16,10 +16,11 @@ parity rule:
   tracked pairs at every checkpoint.
 * ``infeasible_events`` — the rows that break the parity rule's premise.
 
-The tracked-user functions take ``edges`` as a pandas frame of stream
-rows (the whole stream or ``tracked_rows``' output) or as a Spark
-stream, which ``stream_rows`` collects once into such a frame: every
-exact result runs the same pandas code. Every checkpoint's membership
+The tracked-user functions take ``edges``, a pandas frame of stream
+rows: the whole stream, which the driver already holds, or
+``tracked_rows``' output. Only ``select_tracked`` also takes a Spark
+stream, which it collects once into such a frame, so every exact result
+runs the same pandas code. Every checkpoint's membership
 comes from ``prefix.prefix_parity`` and every pair overlap from a
 membership-matrix product on the driver (``_overlaps``): tracked users
 are a few dozen, their distinct items a few thousand.
@@ -36,18 +37,7 @@ from pyspark.sql import DataFrame
 from ..common import prefix
 from ..core import estimator
 
-# A Spark stream, or a pandas frame of stream rows.
-Edges = DataFrame | pd.DataFrame
 ROW_COLUMNS = ("user", "item", "t", "action")
-
-
-def stream_rows(edges: Edges) -> pd.DataFrame:
-    """``edges`` as a pandas frame of stream rows: a Spark stream's
-    (user, item, t, action) columns in one collect, a pandas frame as it
-    is."""
-    if isinstance(edges, pd.DataFrame):
-        return edges
-    return edges.select(*ROW_COLUMNS).toPandas()
 
 
 def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -61,21 +51,22 @@ def pair_indices(users, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return iu, iv
 
 
-def top_users(edges: Edges, top_n: int) -> np.ndarray:
+def top_users(edges: pd.DataFrame, top_n: int) -> np.ndarray:
     """Paper §V users: the ``top_n`` largest final cardinalities, ties
     broken by user id, as ascending int64 ids. Users whose set is empty at
-    the end are never chosen."""
-    odd = stream_rows(edges).groupby(["user", "item"]).size() % 2 == 1
+    the end are never chosen. Raises ``ValueError`` if ``top_n`` < 0."""
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
+    odd = edges.groupby(["user", "item"]).size() % 2 == 1
     card = odd[odd].groupby(level="user").size().rename("n").reset_index()
     top = card.sort_values(["n", "user"], ascending=[False, True]).head(top_n)
     return np.sort(top["user"].to_numpy(np.int64))
 
 
-def tracked_rows(edges: Edges, users) -> pd.DataFrame:
+def tracked_rows(edges: pd.DataFrame, users) -> pd.DataFrame:
     """The (user, item, t, action) rows of ``users``, in no set order,
-    filtered on the driver from ``stream_rows(edges)``."""
-    rows = stream_rows(edges)
-    return rows.loc[rows["user"].isin(np.asarray(users, dtype=np.int64)), list(ROW_COLUMNS)]
+    filtered from ``edges``."""
+    return edges.loc[edges["user"].isin(np.asarray(users, dtype=np.int64)), list(ROW_COLUMNS)]
 
 
 def infeasible_events(rows: pd.DataFrame) -> pd.DataFrame:
@@ -94,7 +85,7 @@ def infeasible_events(rows: pd.DataFrame) -> pd.DataFrame:
 
 
 def _overlaps(
-    edges: Edges, users, checkpoints: Sequence[int]
+    edges: pd.DataFrame, users, checkpoints: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact n and S of the tracked ``users``, one slice per checkpoint.
 
@@ -121,17 +112,18 @@ def _overlaps(
 
 
 def select_tracked(
-    edges: Edges, top_n: int
+    edges: DataFrame | pd.DataFrame, top_n: int
 ) -> tuple[np.ndarray, pd.DataFrame]:
     """Paper §V selection at final time.
 
     Returns (tracked user ids ascending, pairs DataFrame with int64
     columns u, v, s_final sorted by (u, v)) — the pairs among the
     ``top_users`` that share at least one item when the whole stream
-    has arrived. A Spark stream is collected once, so the top-n and the
-    overlaps read the same frame.
+    has arrived. ``edges`` is a pandas frame of stream rows or a Spark
+    stream, which is collected once, so the top-n and the overlaps read
+    the same frame.
     """
-    rows = stream_rows(edges)
+    rows = edges if isinstance(edges, pd.DataFrame) else edges.select(*ROW_COLUMNS).toPandas()
     users = top_users(rows, top_n)
     _, S = _overlaps(rows, users, [np.iinfo(np.int64).max])
     iu, iv = np.triu_indices(len(users), 1)
@@ -142,7 +134,7 @@ def select_tracked(
 
 
 def exact_over_time(
-    edges: Edges,
+    edges: pd.DataFrame,
     users: Sequence[int],
     pairs: pd.DataFrame,
     checkpoints: Sequence[int],

@@ -101,11 +101,10 @@ def build_bit_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build A at each checkpoint time in one distributed pass.
 
-    ``edges`` is a Spark stream or a pandas frame of stream rows (the
-    ``exact.Edges`` convention). A pandas frame is hashed on the driver
-    and only its (pos, t) go to Spark, in the active session, so the
-    build runs one Python stage; a Spark stream is hashed in a
-    ``pandas_udf`` stage before the shuffle.
+    ``edges`` is a Spark stream or a pandas frame of stream rows. A
+    pandas frame is hashed on the driver and only its (pos, t) go to
+    Spark, in the active session, so the build runs one Python stage; a
+    Spark stream is hashed in a ``pandas_udf`` stage before the shuffle.
 
     Returns ``(bits, beta)``. ``beta[c]`` is the fraction of 1-bits in
     A at checkpoint c. ``bits`` is a uint8 matrix with one row per

@@ -38,7 +38,7 @@ def _estimate_checkpoints(stack, users, pairs, n_u, n_v, estimate, *extra):
 
 
 def estimate_vos(
-    edges: exact.Edges,
+    edges: pd.DataFrame,
     users: np.ndarray,
     pairs: pd.DataFrame,
     n_u: np.ndarray,
@@ -50,11 +50,12 @@ def estimate_vos(
     (n_checkpoints, n_pairs) array with columns in the row order of
     ``pairs``.
 
-    ``edges`` is a Spark stream or a pandas frame of stream rows, as
-    ``vos.build_bit_arrays`` takes it. ``n_u``/``n_v`` are the exact
-    counters in that shape. Only the tracked users' positions are built,
-    so indexing the bits with each f_j(u)'s index into them gives the
-    users' Ô_u as a (n_checkpoints, len(users), k) uint8 stack."""
+    ``edges`` is a pandas frame of stream rows, which
+    ``vos.build_bit_arrays`` hashes on the driver. ``n_u``/``n_v`` are
+    the exact counters in that shape. Only the tracked users' positions
+    are built, so indexing the bits with each f_j(u)'s index into them
+    gives the users' Ô_u as a (n_checkpoints, len(users), k) uint8
+    stack."""
     pos = vos.user_positions(users, params)
     at, slot = np.unique(pos, return_inverse=True)
     bits, betas = vos.build_bit_arrays(edges, params, checkpoints, at=at)
@@ -109,8 +110,13 @@ def run_accuracy(
     Returns a long table: dataset, method, ckpt, t, n_pairs, aape,
     armse. Checkpoint times are i/n_checkpoints of the stream length.
     The VOS build runs in the active Spark session, which ``spark``
-    names; with ``methods`` free of ``"vos"`` no Spark job runs.
+    names; with ``methods`` free of ``"vos"`` no Spark job runs. Raises
+    ``ValueError`` if ``k_reg``, ``lam`` or ``n_checkpoints`` is below 1
+    or ``top_n`` below 0.
     """
+    for name, value in (("k_reg", k_reg), ("lam", lam), ("n_checkpoints", n_checkpoints)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     stream_pdf, spec = datasets.make_stream(dataset, seed=seed)
     total = len(stream_pdf)
     checkpoints = [round(total * (i + 1) / n_checkpoints) for i in range(n_checkpoints)]
@@ -123,12 +129,12 @@ def run_accuracy(
             f"{len(bad)} infeasible events in the stream; first at "
             f"user {first['user']}, item {first['item']}, t {first['t']}"
         )
-    # The stream is already a frame on the driver: the top-n and the
+    # The stream is already a frame on the driver: the selection and the
     # tracked users' rows come from it, and those rows feed the exact
     # truth and the baseline replay. Only the VOS build runs in Spark:
     # it hashes the frame here and ships each edge's (pos, t).
-    rows = exact.tracked_rows(stream_pdf, exact.top_users(stream_pdf, top_n))
-    users, pairs = exact.select_tracked(rows, top_n)
+    users, pairs = exact.select_tracked(stream_pdf, top_n)
+    rows = exact.tracked_rows(stream_pdf, users)
     truth = exact.exact_over_time(rows, users, pairs, checkpoints)
     # Truth rows come in (ckpt, pairs row) order.
     s, n_u, n_v, j = (

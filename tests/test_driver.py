@@ -34,9 +34,9 @@ def local_replay(stream_pdf, user, method, k, seed, checkpoints):
 @pytest.mark.parametrize("method", ["minhash", "oph", "rp"])
 class TestSnapshotEquivalence:
     @pytest.fixture(scope="class")
-    def edges(self, tiny_stream_sdf, tracked_users):
-        """The stream as the checks pass it: here the Spark stream."""
-        return tiny_stream_sdf
+    def edges(self, tiny_stream_pdf, tracked_users):
+        """The tracked users' rows, the frame the harness passes."""
+        return exact.tracked_rows(tiny_stream_pdf, tracked_users)
 
     def test_matches_local_replay(
         self, edges, tiny_stream_pdf, tracked_users, method
@@ -71,37 +71,28 @@ class TestSnapshotEquivalence:
         assert (regs == EMPTY).all()
 
 
-class TestSnapshotEquivalenceOnRows(TestSnapshotEquivalence):
-    """The same checks on the tracked users' collected rows, the frame
-    the harness passes."""
-
-    @pytest.fixture(scope="class")
-    def edges(self, tiny_stream_sdf, tracked_users):
-        return exact.tracked_rows(tiny_stream_sdf, tracked_users)
-
-
 class TestMultiMethod:
-    def test_one_pass_equals_per_method_calls(self, tiny_stream_sdf, tracked_users):
+    def test_one_pass_equals_per_method_calls(self, tiny_stream_pdf, tracked_users):
         """Replaying several methods in one job changes no snapshot."""
         k, seed = 16, 3
         methods = ("minhash", "oph", "rp")
         together = driver.sketch_snapshots(
-            tiny_stream_sdf, tracked_users, CHECKPOINTS, methods, k, seed
+            tiny_stream_pdf, tracked_users, CHECKPOINTS, methods, k, seed
         )
         assert sorted(together) == sorted(methods)
         for method in methods:
             alone = driver.sketch_snapshots(
-                tiny_stream_sdf, tracked_users, CHECKPOINTS, method, k, seed
+                tiny_stream_pdf, tracked_users, CHECKPOINTS, method, k, seed
             )[method]
             np.testing.assert_array_equal(together[method], alone)
 
-    def test_edgeless_user_with_several_methods(self, tiny_stream_sdf, tracked_users):
+    def test_edgeless_user_with_several_methods(self, tiny_stream_pdf, tracked_users):
         """The edgeless user's row is all ``EMPTY`` in every method's
         stack; the row beside it is the user's own."""
         ghost = 10_000  # not in the stream
         methods = ("oph", "rp")
         snaps = driver.sketch_snapshots(
-            tiny_stream_sdf, [ghost, tracked_users[0]], CHECKPOINTS, methods, 8, 0
+            tiny_stream_pdf, [ghost, tracked_users[0]], CHECKPOINTS, methods, 8, 0
         )
         assert sorted(snaps) == list(methods)
         for method in methods:
@@ -109,13 +100,13 @@ class TestMultiMethod:
             assert regs.shape == (len(CHECKPOINTS), 2, 8)
             assert (regs[:, 0] == EMPTY).all()
             alone = driver.sketch_snapshots(
-                tiny_stream_sdf, [tracked_users[0]], CHECKPOINTS, method, 8, 0
+                tiny_stream_pdf, [tracked_users[0]], CHECKPOINTS, method, 8, 0
             )[method]
             np.testing.assert_array_equal(regs[:, 1:], alone)
 
-    def test_unknown_method_in_sequence_raises(self, tiny_stream_sdf):
+    def test_unknown_method_in_sequence_raises(self, tiny_stream_pdf):
         with pytest.raises(ValueError, match="unknown method"):
-            driver.sketch_snapshots(tiny_stream_sdf, [1], [10], ("oph", "bogus"), 8, 0)
+            driver.sketch_snapshots(tiny_stream_pdf, [1], [10], ("oph", "bogus"), 8, 0)
 
 
 class TestMatrix:
@@ -133,9 +124,9 @@ class TestMatrix:
         assert driver.snapshots_to_matrix([], n_cps, k).shape == (n_cps, 0, k)
         assert driver.snapshots_to_matrix([[], []], 0, k).shape == (0, 2, k)
 
-    def test_unknown_method_raises(self, tiny_stream_sdf):
+    def test_unknown_method_raises(self, tiny_stream_pdf):
         with pytest.raises(ValueError, match="unknown method"):
-            driver.sketch_snapshots(tiny_stream_sdf, [1], [10], "bogus", 8, 0)
+            driver.sketch_snapshots(tiny_stream_pdf, [1], [10], "bogus", 8, 0)
 
 
 class TestCheckpointOrder:

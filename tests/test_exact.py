@@ -60,7 +60,8 @@ def ties_and_emptied_user() -> pd.DataFrame:
 
 
 class OnSparkStream:
-    """Runs a class's checks with ``edges`` given as the Spark stream.
+    """Runs a class's ``select_tracked`` checks with ``edges`` given as
+    the Spark stream.
 
     ``shape`` turns a Spark stream into the ``edges`` the checks pass;
     ``edges`` is the tiny stream in that shape."""
@@ -75,16 +76,13 @@ class OnSparkStream:
 
 
 class OnCollectedRows:
-    """Reruns a class's checks with ``edges`` given as the pandas frame
-    ``tracked_rows`` collects, every user of the stream tracked."""
+    """Reruns a class's ``select_tracked`` checks with ``edges`` given as
+    the stream's pandas frame, the input every other tracked-user
+    function takes."""
 
     @pytest.fixture(scope="class")
     def shape(self):
-        def rows(sdf):
-            users = [r["user"] for r in sdf.select("user").distinct().collect()]
-            return exact.tracked_rows(sdf, users)
-
-        return rows
+        return lambda sdf: sdf.toPandas()
 
 
 class TestSelectTracked(OnSparkStream):
@@ -107,6 +105,10 @@ class TestSelectTracked(OnSparkStream):
         u2, p2 = exact.select_tracked(edges, 5)
         assert (u1 == u2).all()
         assert p1.equals(p2)
+
+    def test_negative_top_n_raises(self, edges):
+        with pytest.raises(ValueError, match="top_n"):
+            exact.select_tracked(edges, -3)
 
     @pytest.mark.parametrize("top_n", [5, 20])
     def test_vs_duckdb(self, edges, tiny_stream_pdf, top_n):
@@ -193,26 +195,30 @@ class TestTopUsers:
             np.testing.assert_array_equal(exact.top_users(tiny_stream_pdf, n), want, err_msg=f"n={n}")
 
 
+    @pytest.mark.parametrize("top_n", [-1, -3])
+    def test_negative_n_raises(self, tiny_stream_pdf, top_n):
+        """``head(-3)`` would keep all but the last three users."""
+        with pytest.raises(ValueError, match="top_n"):
+            exact.top_users(tiny_stream_pdf, top_n)
+
+
 class TestTrackedRows:
-    def test_rows_of_the_users(self, tiny_stream_sdf, tiny_stream_pdf):
-        users = exact.top_users(tiny_stream_sdf, 8)
-        rows = exact.tracked_rows(tiny_stream_sdf, users)
+    def test_rows_of_the_users(self, tiny_stream_pdf):
+        users = exact.top_users(tiny_stream_pdf, 8)
+        rows = exact.tracked_rows(tiny_stream_pdf, users)
         assert list(rows.columns) == ["user", "item", "t", "action"]
         assert (rows.dtypes == np.int64).all()
         expect = tiny_stream_pdf[tiny_stream_pdf["user"].isin(users)]
         got = rows.sort_values("t").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, expect[list(got.columns)].reset_index(drop=True))
-        # A pandas frame of stream rows is filtered to the same rows.
-        again = exact.tracked_rows(tiny_stream_pdf, users).reset_index(drop=True)
-        pd.testing.assert_frame_equal(again, got)
 
     @pytest.mark.parametrize("top_n", [5, 8, 20])
-    def test_selection_from_the_top_users_rows(self, tiny_stream_sdf, top_n):
+    def test_selection_from_the_top_users_rows(self, tiny_stream_sdf, tiny_stream_pdf, top_n):
         """A Spark stream, collected once, and the top-n users' rows alone
         give the same selection."""
         users, pairs = exact.select_tracked(tiny_stream_sdf, top_n)
-        assert (exact.top_users(tiny_stream_sdf, top_n) == users).all()
-        rows = exact.tracked_rows(tiny_stream_sdf, users)
+        assert (exact.top_users(tiny_stream_pdf, top_n) == users).all()
+        rows = exact.tracked_rows(tiny_stream_pdf, users)
         got_users, got_pairs = exact.select_tracked(rows, top_n)
         assert got_users.dtype == np.int64 and (got_users == users).all()
         pd.testing.assert_frame_equal(got_pairs, pairs)
@@ -261,28 +267,26 @@ class TestInfeasibleEvents:
         assert len(exact.infeasible_events(stream)) == 0
 
 
-class TestExactOverTime(OnSparkStream):
+class TestExactOverTime:
     @pytest.fixture(scope="class")
-    def tracked(self, edges):
-        return exact.select_tracked(edges, 8)
+    def tracked(self, tiny_stream_pdf):
+        return exact.select_tracked(tiny_stream_pdf, 8)
 
-    def test_final_checkpoint_matches_pair_commons(
-        self, edges, tiny_stream_pdf, tracked
-    ):
+    def test_final_checkpoint_matches_pair_commons(self, tiny_stream_pdf, tracked):
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
-        out = exact.exact_over_time(edges, users, pairs, [T // 2, T])
+        out = exact.exact_over_time(tiny_stream_pdf, users, pairs, [T // 2, T])
         final = out[out["ckpt"] == 1]
         merged = final.merge(pairs, on=["u", "v"], validate="1:1")
         assert (merged["s"] == merged["s_final"]).all()
 
     @pytest.mark.parametrize("n_ckpt", [2, 70])
-    def test_vs_duckdb(self, edges, tiny_stream_pdf, tracked, n_ckpt):
+    def test_vs_duckdb(self, tiny_stream_pdf, tracked, n_ckpt):
         """Two cuts, and 70: more than one long's worth of checkpoints."""
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
         cps = [T // 3, T // 2] if n_ckpt == 2 else [T * (i + 1) // n_ckpt for i in range(n_ckpt)]
-        out = exact.exact_over_time(edges, users, pairs, cps)
+        out = exact.exact_over_time(tiny_stream_pdf, users, pairs, cps)
         cols = ["u", "v", "ckpt", "s", "n_u", "n_v"]
         assert_equivalent(
             out[cols],
@@ -292,12 +296,12 @@ class TestExactOverTime(OnSparkStream):
             cps=pd.DataFrame({"ckpt": np.arange(len(cps)), "t": cps}),
         )
 
-    def test_rows_in_checkpoint_then_pairs_order(self, edges, tracked):
+    def test_rows_in_checkpoint_then_pairs_order(self, tiny_stream_pdf, tracked):
         """Row ci·len(pairs) + r is pair r at checkpoint ci, for pairs in
         any order."""
         users, pairs = tracked
         shuffled = pairs.sample(frac=1.0, random_state=3).reset_index(drop=True)
-        out = exact.exact_over_time(edges, users, shuffled, [1000, 1500, 2000])
+        out = exact.exact_over_time(tiny_stream_pdf, users, shuffled, [1000, 1500, 2000])
         assert len(out) == 3 * len(shuffled)
         for ci in range(3):
             rows = out.iloc[ci * len(shuffled) : (ci + 1) * len(shuffled)]
@@ -305,65 +309,43 @@ class TestExactOverTime(OnSparkStream):
             assert (rows["u"].to_numpy() == shuffled["u"].to_numpy()).all()
             assert (rows["v"].to_numpy() == shuffled["v"].to_numpy()).all()
 
-    def test_users_in_any_order(self, edges, tracked):
+    def test_users_in_any_order(self, tiny_stream_pdf, tracked):
         users, pairs = tracked
         cps = [1000, 2000]
-        expect = exact.exact_over_time(edges, users, pairs, cps)
-        got = exact.exact_over_time(edges, users[::-1].copy(), pairs, cps)
+        expect = exact.exact_over_time(tiny_stream_pdf, users, pairs, cps)
+        got = exact.exact_over_time(tiny_stream_pdf, users[::-1].copy(), pairs, cps)
         pd.testing.assert_frame_equal(got, expect)
 
-    def test_cardinalities_match(self, edges, tiny_stream_pdf, tracked):
+    def test_tracked_rows_alone(self, tiny_stream_pdf, tracked):
+        """The tracked users' rows, the frame the harness passes, give the
+        same truth as the whole stream."""
+        users, pairs = tracked
+        cps = [1000, 2000]
+        rows = exact.tracked_rows(tiny_stream_pdf, users)
+        pd.testing.assert_frame_equal(
+            exact.exact_over_time(rows, users, pairs, cps),
+            exact.exact_over_time(tiny_stream_pdf, users, pairs, cps),
+        )
+
+    def test_cardinalities_match(self, tiny_stream_pdf, tracked):
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
-        out = exact.exact_over_time(edges, users, pairs, [T])
+        out = exact.exact_over_time(tiny_stream_pdf, users, pairs, [T])
         card = generator.net_state(tiny_stream_pdf).groupby("user").size()
         for _, row in out.iterrows():
             assert row["n_u"] == card.get(row["u"], 0)
             assert row["n_v"] == card.get(row["v"], 0)
 
-    def test_jaccard_consistent(self, edges, tracked):
+    def test_jaccard_consistent(self, tiny_stream_pdf, tracked):
         users, pairs = tracked
-        out = exact.exact_over_time(edges, users, pairs, [1000, 2000])
+        out = exact.exact_over_time(tiny_stream_pdf, users, pairs, [1000, 2000])
         expect = out["s"] / (out["n_u"] + out["n_v"] - out["s"]).clip(lower=1)
         np.testing.assert_allclose(out["j"], expect.where(out["s"] > 0, 0.0), atol=1e-9)
 
 
-class TestExactOverTimeOnRows(OnCollectedRows, TestExactOverTime):
-    pass
-
-
-class TestDegenerateInputs(OnSparkStream):
-    """Edge cases of the tracked-user overlap computation: each must give
-    zeros or empty results, not crash."""
-
-    def test_checkpoint_before_first_edge(self, edges, tiny_stream_pdf):
-        users, pairs = exact.select_tracked(edges, 5)
-        before = int(tiny_stream_pdf["t"].min()) - 1
-        out = exact.exact_over_time(edges, users, pairs, [before])
-        assert len(out) == len(pairs) > 0
-        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
-        assert (out["j"] == 0.0).all()
-
-    def test_tracked_user_without_edges(self, edges, tiny_stream_pdf):
-        users, pairs = exact.select_tracked(edges, 5)
-        T = int(tiny_stream_pdf["t"].max())
-        ghost = int(tiny_stream_pdf["user"].max()) + 1
-        extra = pd.DataFrame({"u": users, "v": ghost})
-        both = pd.concat([pairs[["u", "v"]], extra], ignore_index=True)
-        out = exact.exact_over_time(edges, np.r_[users, ghost], both, [T])
-        tracked, ghosts = out.iloc[: len(pairs)], out.iloc[len(pairs) :]
-        assert (tracked["s"].to_numpy() == pairs["s_final"].to_numpy()).all()
-        assert (ghosts[["s", "n_v"]] == 0).all().all()
-        assert (ghosts["n_u"] > 0).all() and (ghosts["j"] == 0.0).all()
-
-    def test_no_tracked_item(self, edges, tiny_stream_pdf):
-        """No tracked user has an edge: the aggregation is empty."""
-        ghosts = int(tiny_stream_pdf["user"].max()) + np.arange(1, 4)
-        pairs = pd.DataFrame({"u": ghosts[:2], "v": ghosts[1:]})
-        out = exact.exact_over_time(edges, ghosts, pairs, [100, 2000])
-        assert len(out) == 4
-        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
-        assert (out["j"] == 0.0).all()
+class DegenerateSelection:
+    """Edge cases of ``select_tracked``, on the input ``shape`` makes:
+    each must give empty, typed results, not crash."""
 
     def test_empty_stream(self, shape, tiny_stream_sdf):
         users, pairs = exact.select_tracked(shape(tiny_stream_sdf.limit(0)), 5)
@@ -386,5 +368,40 @@ class TestDegenerateInputs(OnSparkStream):
         assert (pairs.dtypes == np.int64).all()
 
 
-class TestDegenerateInputsOnRows(OnCollectedRows, TestDegenerateInputs):
-    pass
+class TestDegenerateInputs(OnSparkStream, DegenerateSelection):
+    """Edge cases of the tracked-user overlap computation: each must give
+    zeros or empty results, not crash. The ``exact_over_time`` cases read
+    the stream's pandas frame."""
+
+    def test_checkpoint_before_first_edge(self, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_pdf, 5)
+        before = int(tiny_stream_pdf["t"].min()) - 1
+        out = exact.exact_over_time(tiny_stream_pdf, users, pairs, [before])
+        assert len(out) == len(pairs) > 0
+        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
+        assert (out["j"] == 0.0).all()
+
+    def test_tracked_user_without_edges(self, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_pdf, 5)
+        T = int(tiny_stream_pdf["t"].max())
+        ghost = int(tiny_stream_pdf["user"].max()) + 1
+        extra = pd.DataFrame({"u": users, "v": ghost})
+        both = pd.concat([pairs[["u", "v"]], extra], ignore_index=True)
+        out = exact.exact_over_time(tiny_stream_pdf, np.r_[users, ghost], both, [T])
+        tracked, ghosts = out.iloc[: len(pairs)], out.iloc[len(pairs) :]
+        assert (tracked["s"].to_numpy() == pairs["s_final"].to_numpy()).all()
+        assert (ghosts[["s", "n_v"]] == 0).all().all()
+        assert (ghosts["n_u"] > 0).all() and (ghosts["j"] == 0.0).all()
+
+    def test_no_tracked_item(self, tiny_stream_pdf):
+        """No tracked user has an edge: the aggregation is empty."""
+        ghosts = int(tiny_stream_pdf["user"].max()) + np.arange(1, 4)
+        pairs = pd.DataFrame({"u": ghosts[:2], "v": ghosts[1:]})
+        out = exact.exact_over_time(tiny_stream_pdf, ghosts, pairs, [100, 2000])
+        assert len(out) == 4
+        assert (out[["s", "n_u", "n_v"]] == 0).all().all()
+        assert (out["j"] == 0.0).all()
+
+
+class TestDegenerateInputsOnRows(OnCollectedRows, DegenerateSelection):
+    """The ``select_tracked`` edge cases on the stream's pandas frame."""

@@ -86,9 +86,10 @@ class TestRunAccuracy:
         assert again.equals(tiny_results)
 
     def test_equals_spark_input_path(self, spark, tiny_results):
-        """The table equals one built with the selection, the exact truth
-        and the baseline replay each given the Spark stream, which each
-        collects into pandas rows (``exact.stream_rows``)."""
+        """The table equals one built with the selection given the Spark
+        stream, which it collects into pandas rows, and the exact truth,
+        the baseline replay and the VOS estimate given the stream's
+        pandas frame."""
         import pandas as pd
 
         from repro.baselines import driver
@@ -98,19 +99,18 @@ class TestRunAccuracy:
 
         stream, spec = datasets.make_stream("tiny", seed=0)
         cps = [round(len(stream) * (i + 1) / 4) for i in range(4)]
-        edges = generator.to_spark(spark, stream)
-        users, pairs = exact.select_tracked(edges, 8)
-        truth = exact.exact_over_time(edges, users, pairs, cps)
+        users, pairs = exact.select_tracked(generator.to_spark(spark, stream), 8)
+        truth = exact.exact_over_time(stream, users, pairs, cps)
         s, n_u, n_v, j = (
             truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs))
             for c in ("s", "n_u", "n_v", "j")
         )
-        snaps = driver.sketch_snapshots(edges, users, cps, ("minhash", "oph", "rp"), 32, 13)
+        snaps = driver.sketch_snapshots(stream, users, cps, ("minhash", "oph", "rp"), 32, 13)
         params = vos.VOSParams.paper_budget(spec.n_users, k_reg=32, lam=2, seed=7)
         rows = []
         for method in harness.METHODS:
             if method == "vos":
-                s_hat, j_hat = harness.estimate_vos(edges, users, pairs, n_u, n_v, cps, params)
+                s_hat, j_hat = harness.estimate_vos(stream, users, pairs, n_u, n_v, cps, params)
             else:
                 s_hat, j_hat = harness.estimate_baseline(
                     snaps[method], users, pairs, n_u, n_v, method
@@ -145,6 +145,27 @@ class TestRunAccuracy:
         with pytest.raises(ValueError, match=f"1 infeasible events.*user {user}, item {item}, t {t}"):
             harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=8, seed=0)
 
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("k_reg", 0), ("k_reg", -1), ("lam", 0), ("n_checkpoints", 0), ("n_checkpoints", -2)],
+    )
+    def test_out_of_range_argument_raises(self, spark, monkeypatch, arg, value):
+        """Named before any stream is generated: at 0 checkpoints the table
+        would be empty, and at k_reg 0 MinHash would read AAPE 1 while OPH
+        and RP fail on an empty register array."""
+
+        def no_stream(name, seed):
+            raise AssertionError("the stream was generated")
+
+        monkeypatch.setattr(harness.datasets, "make_stream", no_stream)
+        kwargs = {"k_reg": 16, "n_checkpoints": 2, "top_n": 5, arg: value}
+        with pytest.raises(ValueError, match=f"{arg} must be >= 1"):
+            harness.run_accuracy(spark, "tiny", **kwargs)
+
+    def test_negative_top_n_raises(self, spark):
+        """``head(-3)`` in the top-n would track all but three users."""
+        with pytest.raises(ValueError, match="top_n"):
+            harness.run_accuracy(spark, "tiny", k_reg=16, n_checkpoints=2, top_n=-3, methods=("minhash",))
 
     @pytest.mark.parametrize("top_n", [0, 1])
     def test_no_pairs(self, spark, top_n):
@@ -172,8 +193,8 @@ class TestDeletionBias:
 
         stream, _ = datasets.make_stream(dataset, seed=seed)
         cps = [round(len(stream) * (i + 1) / 10) for i in range(10)]
-        rows = exact.tracked_rows(stream, exact.top_users(stream, 50))
-        users, pairs = exact.select_tracked(rows, 50)
+        users, pairs = exact.select_tracked(stream, 50)
+        rows = exact.tracked_rows(stream, users)
         truth = exact.exact_over_time(rows, users, pairs, cps)
         s, n_u, n_v = (
             truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs)) for c in ("s", "n_u", "n_v")
@@ -259,9 +280,10 @@ class TestEstimateHelpers:
 
 class TestEstimateVos:
     def test_equals_dense_build_and_rebuild(self, tiny_stream_sdf, tiny_stream_pdf):
-        """The sparse path gives the same frame as the dense A read through
-        ``rebuild_user_sketches``, with an edgeless tracked user and two
-        tracked users whose f_j positions collide."""
+        """The sparse path gives the same frame as the dense A, built from
+        the Spark stream, read through ``rebuild_user_sketches``, with an
+        edgeless tracked user and two tracked users whose f_j positions
+        collide."""
         import itertools
 
         import pandas as pd
@@ -279,12 +301,12 @@ class TestEstimateVos:
         pairs = pd.DataFrame(list(itertools.combinations(users, 2)), columns=["u", "v"])
         T = int(tiny_stream_pdf["t"].max())
         cps = [T // 3, T]
-        truth = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
+        truth = exact.exact_over_time(tiny_stream_pdf, users, pairs, cps)
         n_u, n_v = (
             truth[c].to_numpy(np.float64).reshape(len(cps), len(pairs)) for c in ("n_u", "n_v")
         )
 
-        s_hat, j_hat = harness.estimate_vos(tiny_stream_sdf, users, pairs, n_u, n_v, cps, params)
+        s_hat, j_hat = harness.estimate_vos(tiny_stream_pdf, users, pairs, n_u, n_v, cps, params)
 
         A, betas = vos.build_bit_arrays(tiny_stream_sdf, params, cps)
         iu, iv = exact.pair_indices(users, pairs)

@@ -59,6 +59,18 @@ class TestFig3Job:
         for table in ("F3a", "F3b", "F3c", "F3d"):
             assert f"Table {table}" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, arg", [("--top-n", "-1", "top_n"), ("--checkpoints", "0", "n_checkpoints")]
+    )
+    def test_out_of_range_flag_raises(self, spark, tmp_path, flag, value, arg):
+        """An out-of-range flag stops the job before it writes a table."""
+        import fig3_accuracy
+
+        argv = ["--datasets", "tiny", "--k-reg", "16", flag, value, "--out", str(tmp_path)]
+        with pytest.raises(ValueError, match=arg):
+            fig3_accuracy.main(argv)
+        assert not (tmp_path / "fig3_accuracy.csv").exists()
+
     def test_defaults_reproduce_recorded_csv(self, spark, tmp_path):
         """At its defaults (four datasets, k_reg 100, top_n 50, 10
         checkpoints, seed 0) the job writes the table recorded in

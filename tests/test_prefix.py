@@ -73,17 +73,17 @@ class TestDecreasingCheckpointsRejected:
     """Both builds reject decreasing checkpoints with a ValueError before
     they read the stream."""
 
-    def test_build_bit_arrays(self, tiny_stream_sdf):
+    def test_build_bit_arrays(self, spark, tiny_stream_pdf):
+        """The check runs before the stream goes to Spark: no Spark job."""
         params = vos.VOSParams(k=64, m=4096, seed=7)
-        with pytest.raises(ValueError):
-            vos.build_bit_arrays(tiny_stream_sdf, params, [2000, 1000])
-
-    def test_exact_over_time(self, spark, tiny_stream_sdf):
-        """The check runs before the Spark stream is read: no Spark job."""
-        users, pairs = exact.select_tracked(tiny_stream_sdf, 5)
 
         def call():
-            with pytest.raises(ValueError, match="non-decreasing"):
-                exact.exact_over_time(tiny_stream_sdf, users, pairs, [2000, 1000])
+            with pytest.raises(ValueError):
+                vos.build_bit_arrays(tiny_stream_pdf, params, [2000, 1000])
 
         assert jobs_in_group(spark, call) == 0
+
+    def test_exact_over_time(self, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_pdf, 5)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            exact.exact_over_time(tiny_stream_pdf, users, pairs, [2000, 1000])
