@@ -194,7 +194,6 @@ class TestTopUsers:
             want = np.sort(ranked["user"].to_numpy(np.int64)[:n])
             np.testing.assert_array_equal(exact.top_users(tiny_stream_pdf, n), want, err_msg=f"n={n}")
 
-
     @pytest.mark.parametrize("top_n", [-1, -3])
     def test_negative_n_raises(self, tiny_stream_pdf, top_n):
         """``head(-3)`` would keep all but the last three users."""
