@@ -58,36 +58,38 @@ def main(argv=None) -> int:
         indir, ckdir = f"{tmp}/in", f"{tmp}/ck"
         os.makedirs(indir)
         query = streaming.start_query(spark, indir, ckdir, params, query_name="vos_demo")
-        cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
-        truths = exact.exact_over_time(rows, [u, v], pairs.iloc[[0]], cuts)
-        lo = 0
-        for bi, hi in enumerate(cuts):
-            chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
-            chunk.to_parquet(f"{indir}/batch{bi:03d}.parquet")
-            lo = hi
-            query.processAllAvailable()
-            prog = query.lastProgress
-            state = prog.stateOperators[0]
-            print(
-                f"[demo] progress input_rows={prog.numInputRows} "
-                f"trigger_ms={prog.durationMs['triggerExecution']} "
-                f"state_rows={state.numRowsTotal} "
-                f"state_bytes={state.memoryUsedBytes}"
-            )
-            A, beta = streaming.assemble_bit_array(spark, "vos_demo", params)
-            truth = truths.iloc[bi]
-            sk = vos.rebuild_user_sketches([u, v], A, params)
-            alpha = float(estimator.pair_alpha(sk[0], sk[1]))
-            s_hat = float(
-                estimator.estimate_common(truth["n_u"], truth["n_v"], alpha, beta, params.k)
-            )
-            print(
-                f"[demo] t={hi:>8} beta={beta:.4f} "
-                f"s_true={int(truth['s']):>5} s_hat={s_hat:8.1f} "
-                f"J_true={truth['j']:.3f} "
-                f"J_hat={float(estimator.jaccard_from_common(s_hat, truth['n_u'], truth['n_v'])):.3f}"
-            )
-        query.stop()
+        try:
+            cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
+            truths = exact.exact_over_time(rows, [u, v], pairs.iloc[[0]], cuts)
+            lo = 0
+            for bi, hi in enumerate(cuts):
+                chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
+                chunk.to_parquet(f"{indir}/batch{bi:03d}.parquet")
+                lo = hi
+                query.processAllAvailable()
+                prog = query.lastProgress
+                state = prog.stateOperators[0]
+                print(
+                    f"[demo] progress input_rows={prog.numInputRows} "
+                    f"trigger_ms={prog.durationMs['triggerExecution']} "
+                    f"state_rows={state.numRowsTotal} "
+                    f"state_bytes={state.memoryUsedBytes}"
+                )
+                A, beta = streaming.assemble_bit_array(spark, "vos_demo", params)
+                truth = truths.iloc[bi]
+                sk = vos.rebuild_user_sketches([u, v], A, params)
+                alpha = float(estimator.pair_alpha(sk[0], sk[1]))
+                s_hat = float(
+                    estimator.estimate_common(truth["n_u"], truth["n_v"], alpha, beta, params.k)
+                )
+                print(
+                    f"[demo] t={hi:>8} beta={beta:.4f} "
+                    f"s_true={int(truth['s']):>5} s_hat={s_hat:8.1f} "
+                    f"J_true={truth['j']:.3f} "
+                    f"J_hat={float(estimator.jaccard_from_common(s_hat, truth['n_u'], truth['n_v'])):.3f}"
+                )
+        finally:
+            query.stop()
     return 0
 
 

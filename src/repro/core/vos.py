@@ -12,9 +12,11 @@ arrival ≤ t. So ``build_bit_arrays`` only routes each edge's (pos, t)
 to the partition that owns its position, and there
 ``prefix.prefix_parity`` gives A at every checkpoint in one pass. Its
 edges come as a Spark stream, hashed in a ``pandas_udf``
-(``with_positions``), or as a pandas frame of stream rows already on the
-driver, hashed there in one vectorised call so that Spark receives only
-(pos, t) and runs a single Python stage. The estimator reads only β and
+(``with_positions``) and shuffled by position, or as a pandas frame of
+stream rows already on the driver. The driver hashes those in one
+vectorised call and routes them itself: one chunk of (pos, t) lists per
+position class, which Spark unnests in place, so the build runs a single
+Python stage and no shuffle. The estimator reads only β and
 the tracked users' bits Ô_u[j] = A[f_j(u)], so the build counts the
 1-bits on the executors and, given the positions it should return,
 sends the driver bits at those positions only: the bytes collected
@@ -74,14 +76,31 @@ def with_positions(edges: DataFrame, params: VOSParams) -> DataFrame:
     return edges.withColumn("pos", pos_udf("user", "item"))
 
 
+def _route_by_position(pos: np.ndarray, t: np.ndarray, n_parts: int) -> pa.Table:
+    """The (pos, t) rows split into ``n_parts`` position classes, pos mod
+    ``n_parts``: one Arrow record batch per class, holding one row of two
+    int64 lists. Each class holds every row of its positions, so each
+    class's parities need no other class. Spark makes a partition of
+    each batch when the table is large and spreads a small one row by row
+    over ``defaultParallelism`` partitions, so either way a class is
+    never split."""
+    cls = pos % n_parts
+    takes = [cls == c for c in range(n_parts)]
+    return pa.Table.from_batches(
+        [pa.record_batch({"pos": [pos[take]], "t": [t[take]]}) for take in takes]
+    )
+
+
 def _positions_and_times(edges: DataFrame | pd.DataFrame, params: VOSParams) -> DataFrame:
-    """The (pos, t) rows of ``edges`` as a Spark frame. A pandas frame is
-    hashed on the driver and its two columns go to the active session as
-    one Arrow table over the numpy arrays, which the driver drops once
-    they are shipped. A Spark stream is hashed in its own Python stage by
-    ``with_positions``."""
+    """The (pos, t) rows of ``edges`` as a Spark frame whose every
+    partition holds all the rows of its positions. A Spark stream is
+    hashed in its own Python stage by ``with_positions`` and shuffled by
+    position. A pandas frame is hashed on the driver and routed there
+    into the active session's ``defaultParallelism`` position classes;
+    each class goes to Spark as one row of two lists, which Spark unnests
+    where it lands, so no shuffle follows."""
     if not isinstance(edges, pd.DataFrame):
-        return with_positions(edges, params).select("pos", "t")
+        return with_positions(edges, params).select("pos", "t").repartition("pos")
     pos = hashing.vos_positions(
         edges["user"].to_numpy(np.int64),
         edges["item"].to_numpy(np.int64),
@@ -89,8 +108,11 @@ def _positions_and_times(edges: DataFrame | pd.DataFrame, params: VOSParams) -> 
         params.m,
         params.seed,
     )
-    pos_t = pa.table({"pos": pos, "t": edges["t"].to_numpy(np.int64)})
-    return SparkSession.active().createDataFrame(pos_t)
+    spark = SparkSession.active()
+    chunks = _route_by_position(
+        pos, edges["t"].to_numpy(np.int64), spark.sparkContext.defaultParallelism
+    )
+    return spark.createDataFrame(chunks).select(F.inline(F.arrays_zip("pos", "t")))
 
 
 def build_bit_arrays(
@@ -102,9 +124,10 @@ def build_bit_arrays(
     """Build A at each checkpoint time in one distributed pass.
 
     ``edges`` is a Spark stream or a pandas frame of stream rows. A
-    pandas frame is hashed on the driver and only its (pos, t) go to
-    Spark, in the active session, so the build runs one Python stage; a
-    Spark stream is hashed in a ``pandas_udf`` stage before the shuffle.
+    pandas frame is hashed and routed by position on the driver, and its
+    (pos, t) go to the active session as one chunk per position class, so
+    the build runs one job of one stage; a Spark stream is hashed in a
+    ``pandas_udf`` stage and shuffled by position.
 
     Returns ``(bits, beta)``. ``beta[c]`` is the fraction of 1-bits in
     A at checkpoint c. ``bits`` is a uint8 matrix with one row per
@@ -112,12 +135,12 @@ def build_bit_arrays(
     sorted array of unique positions) is given, A at those positions
     only, (n_checkpoints, len(at)).
 
-    One shuffle routes each edge's (pos, t) by position. A
-    ``mapInPandas`` step after it takes every checkpoint's parities of its
-    partition's positions with ``prefix.prefix_parity``, counts the
-    partition's 1-bits per checkpoint, and emits that partial count plus
-    the rows that have a 1-bit at a requested position (any position
-    when ``at`` is None). The driver sums the partials into β and
+    Either way every partition holds all the (pos, t) rows of its
+    positions. A ``mapInPandas`` step then takes every checkpoint's
+    parities of its partition's positions with ``prefix.prefix_parity``,
+    counts the partition's 1-bits per checkpoint, and emits that partial
+    count plus the rows that have a 1-bit at a requested position (any
+    position when ``at`` is None). The driver sums the partials into β and
     receives no other position, so with ``at`` it never allocates an
     m-sized array. Raises ``ValueError`` if the checkpoints decrease.
     """
@@ -145,12 +168,7 @@ def build_bit_arrays(
         # A row with pos = -1 carries this partition's 1-bit count per checkpoint.
         yield pd.DataFrame([[-1, *bits.sum(axis=1)]], columns=["pos", *cols])
 
-    rows = (
-        _positions_and_times(edges, params)
-        .repartition("pos")  # every row of a position lands in one partition
-        .mapInPandas(emit, schema)
-        .toPandas()
-    )
+    rows = _positions_and_times(edges, params).mapInPandas(emit, schema).toPandas()
     pos = rows["pos"].to_numpy(np.int64)
     vals = rows[cols].to_numpy(np.int64)
     partial = pos < 0

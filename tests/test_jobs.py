@@ -113,6 +113,19 @@ class TestStreamDemoJob:
         for field in ("input_rows=", "trigger_ms=", "state_rows=", "state_bytes="):
             assert out.count(field) == 2, field
 
+    def test_stops_its_query_when_a_read_fails(self, spark, monkeypatch):
+        import stream_demo
+
+        from repro.core import streaming
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("read failed")
+
+        monkeypatch.setattr(streaming, "assemble_bit_array", fail)
+        with pytest.raises(RuntimeError, match="read failed"):
+            stream_demo.main(["--dataset", "tiny", "--batches", "2", "--k-reg", "16"])
+        assert "vos_demo" not in [q.name for q in spark.streams.active]
+
 
 @pytest.mark.parametrize(
     "job, argv",

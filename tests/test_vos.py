@@ -1,5 +1,7 @@
 """Tests for the distributed VOS build (repro.core.vos) against the
 sequential kernel and the DuckDB oracle."""
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -233,6 +235,63 @@ class TestPandasInput:
         if case == "empty":
             assert not bits.any() and (betas == 0.0).all()
         pd.testing.assert_frame_equal(pdf, before)
+
+    def test_one_job_of_one_stage(self, spark, tiny_stream_pdf, touched):
+        """The driver routes the rows by position, so the build shuffles
+        nothing: one Spark job of one stage."""
+        T = int(tiny_stream_pdf["t"].max())
+        sc = spark.sparkContext
+        group = f"vos-build-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            vos.build_bit_arrays(tiny_stream_pdf, PARAMS, [T], at=touched)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # The status tracker is fed by the listener bus, which runs behind.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = sc.statusTracker()
+        stages = [list(tracker.getJobInfo(j).stageIds) for j in tracker.getJobIdsForGroup(group)]
+        assert len(stages) == 1 and len(stages[0]) == 1, stages
+
+    @pytest.mark.parametrize("n_parts", [1, 3, 7, "above_distinct"])
+    def test_routing(self, spark, monkeypatch, tiny_stream_pdf, n_parts):
+        """Every edge lands in exactly one position class, no position in
+        two, and the build over any number of classes (empty ones included)
+        equals the Spark-input build."""
+        from repro.common import hashing
+
+        pdf = tiny_stream_pdf
+        if n_parts == "above_distinct":
+            pdf = tiny_stream_pdf.iloc[:40]
+        pos = hashing.vos_positions(
+            pdf["user"].to_numpy(np.int64),
+            pdf["item"].to_numpy(np.int64),
+            PARAMS.k,
+            PARAMS.m,
+            PARAMS.seed,
+        )
+        t = pdf["t"].to_numpy(np.int64)
+        if n_parts == "above_distinct":
+            n_parts = len(np.unique(pos)) + 5
+
+        chunks = vos._route_by_position(pos, t, n_parts)
+        assert chunks.num_rows == n_parts
+        chunk_pos = [np.asarray(p, np.int64) for p in chunks.column("pos").to_pylist()]
+        chunk_t = [np.asarray(c, np.int64) for c in chunks.column("t").to_pylist()]
+        got = np.concatenate([np.c_[p, c] for p, c in zip(chunk_pos, chunk_t)])
+        want = np.c_[pos, t]
+        assert (got[np.lexsort(got.T)] == want[np.lexsort(want.T)]).all()
+        distinct = np.concatenate([np.unique(p) for p in chunk_pos])
+        assert len(distinct) == len(np.unique(distinct)), "a position in two chunks"
+
+        route = vos._route_by_position
+        monkeypatch.setattr(vos, "_route_by_position", lambda pos, t, _: route(pos, t, n_parts))
+        T = int(t.max())
+        cps = [T // 3, T]
+        bits, betas = vos.build_bit_arrays(pdf, PARAMS, cps)
+        ref_bits, ref_betas = vos.build_bit_arrays(generator.to_spark(spark, pdf), PARAMS, cps)
+        assert (bits == ref_bits).all()
+        assert (betas == ref_betas).all()
 
     def test_never_hashes_in_spark(self, monkeypatch, tiny_stream_pdf):
         def fail(*args, **kwargs):
